@@ -377,7 +377,7 @@ class CliqueMapClient:
         """Fetch cell config and handshake with every serving backend."""
         config = yield from self.config_store.get(self.cell_name)
         self._adopt_config(config)
-        for task in set(self.cell.serving_tasks()):
+        for task in sorted(set(self.cell.serving_tasks())):
             yield from self._build_view(task)
 
     def _adopt_config(self, config: CellConfig) -> None:
@@ -451,7 +451,7 @@ class CliqueMapClient:
         config = yield from self.config_store.get(self.cell_name)
         self._adopt_config(config)
         self.stats["config_refreshes"] += 1
-        for task in set(self.cell.serving_tasks()):
+        for task in sorted(set(self.cell.serving_tasks())):
             yield from self._build_view(task)
 
     def _note_stale_config(self, config_id: int) -> None:
@@ -1041,7 +1041,7 @@ class CliqueMapClient:
         if any(config_mismatch[i] for i in fallback):
             yield from self._refresh_config()
         stale_tasks = {task for i in fallback for task in stale[i]}
-        for task in stale_tasks:
+        for task in sorted(stale_tasks):
             yield from self._build_view(task)
         prefix = self.sim.now - started
         remaining = max(1e-6, deadline_at - self.sim.now)
