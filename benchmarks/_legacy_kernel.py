@@ -256,6 +256,27 @@ class LegacySimulator:
     def call_in(self, delay: float, fn: Callable, *args: Any) -> None:
         self._push(delay, lambda: fn(*args))
 
+    def inject(self, at: float, fn: Callable, *args: Any) -> None:
+        if at < self.now:
+            raise SimulationError(f"cannot inject at {at!r}, in the past")
+        self._seq += 1
+        heapq.heappush(self._heap, (at, self._seq, lambda: fn(*args)))
+
+    def trigger_at(self, event, at: float, value: Any = None,
+                   ok: bool = True):
+        # Absolute-time scheduling for the live resource/net holds: the
+        # same entry the live kernel makes, always through the heap.
+        if event._triggered:
+            raise SimulationError("event already triggered")
+        if at < self.now:
+            raise SimulationError(f"cannot schedule at {at!r}, in the past")
+        event._triggered = True
+        event._ok = ok
+        event._value = value
+        self._seq += 1
+        heapq.heappush(self._heap, (at, self._seq, event._process))
+        return event
+
     # -- event constructors ----------------------------------------------
 
     def event(self) -> LegacyEvent:

@@ -227,7 +227,7 @@ class Backend:
 
     def _handle_info(self, payload, context: HandlerContext) -> Generator:
         """Connection-time metadata: layout, region ids, config generation."""
-        yield from self.host.execute(0.5e-6, self._component)
+        yield self.host.execute(0.5e-6, self._component)
         return {
             "task": self.task_name,
             "shard": self.shard,
@@ -268,7 +268,7 @@ class Backend:
         entries = payload["entries"]
         total_bytes = sum(len(key) + len(value)
                           for key, value, _version in entries)
-        yield from self.host.execute(
+        yield self.host.execute(
             self.config.set_cpu +
             self.config.multi_entry_cpu * max(0, len(entries) - 1) +
             total_bytes / 1024.0 * self.config.per_kilobyte_cpu,
@@ -339,7 +339,7 @@ class Backend:
     def _handle_lookup(self, payload, context: HandlerContext) -> Generator:
         """Two-sided lookup: RPC fallback, WAN access, overflow hits."""
         key: bytes = payload["key"]
-        yield from self.host.execute(self.config.lookup_cpu, self._component)
+        yield self.host.execute(self.config.lookup_cpu, self._component)
         self.stats.rpc_lookups += 1
         found = self.lookup_local(key)
         if found is None:
@@ -352,7 +352,7 @@ class Backend:
                              context: HandlerContext) -> Generator:
         """Batched two-sided lookup: the RPC-strategy analog of MultiSet."""
         keys: List[bytes] = payload["keys"]
-        yield from self.host.execute(
+        yield self.host.execute(
             self.config.lookup_cpu +
             self.config.multi_entry_cpu * max(0, len(keys) - 1),
             self._component)
@@ -375,7 +375,7 @@ class Backend:
     def _handle_touch(self, payload, context: HandlerContext) -> Generator:
         """Ingest batched client access records to drive eviction (§4.2)."""
         records: List[bytes] = payload["key_hashes"]
-        yield from self.host.execute(
+        yield self.host.execute(
             self.config.touch_cpu_per_record * max(1, len(records)),
             self._component)
         for key_hash in records:
@@ -393,7 +393,7 @@ class Backend:
         """
         shard_filter = payload.get("primary_shard")
         num_shards = payload.get("num_shards") or self.placement.num_shards
-        yield from self.host.execute(
+        yield self.host.execute(
             self.config.scan_cpu_per_entry * max(1, self.resident_keys),
             self._component)
         summary: Dict[bytes, bytes] = {}
@@ -409,7 +409,7 @@ class Backend:
                            ) -> Generator:
         """Source a full KV pair for an on-demand repair."""
         key_hash: bytes = payload["key_hash"]
-        yield from self.host.execute(self.config.lookup_cpu, self._component)
+        yield self.host.execute(self.config.lookup_cpu, self._component)
         key = self._keys.get(key_hash)
         if key is None:
             return {"found": False}
@@ -491,7 +491,7 @@ class Backend:
                                        entry.version, self.data.region_id,
                                        new_offset, entry.size)
                 self._free_block(offset)
-                yield from self.host.execute(1.0e-6, self._component)
+                yield self.host.execute(1.0e-6, self._component)
                 self.stats.defrag_moves += 1
                 moved += 1
         return moved
@@ -505,7 +505,7 @@ class Backend:
         return f"backend:{self.task_name}"
 
     def _charge_mutation_cpu(self, payload_bytes: int) -> Generator:
-        yield from self.host.execute(
+        yield self.host.execute(
             self.config.set_cpu +
             payload_bytes / 1024.0 * self.config.per_kilobyte_cpu,
             self._component)
@@ -849,9 +849,9 @@ class Backend:
                                    entry.offset, entry.size)
             rewritten += 1
             if rewritten % 64 == 0:
-                yield from self.host.execute(2e-6, self._component)
+                yield self.host.execute(2e-6, self._component)
         if rewritten % 64:
-            yield from self.host.execute(2e-6, self._component)
+            yield self.host.execute(2e-6, self._component)
 
     def shrink_data_region_on_restart(self, target_bytes: int) -> None:
         """Downsizing happens via non-disruptive restart (§4.1): rebuild the
@@ -944,7 +944,7 @@ class Backend:
                 self._unlock_key(key_hash, lock)
             purged += 1
             if purged % 64 == 0:
-                yield from self.host.execute(2e-6, self._component)
+                yield self.host.execute(2e-6, self._component)
         return purged
 
     def adopt_config_id(self, config_id: int) -> None:

@@ -1609,7 +1609,7 @@ class CliqueMapClient:
 
     def _charge_validation(self, raw: bytes) -> Generator:
         cost = self.config.costs
-        yield from self.host.execute(
+        yield self.host.execute(
             cost.validate_cpu + len(raw) / 1024.0 * cost.validate_per_kb,
             "cliquemap-client")
 
@@ -1681,7 +1681,7 @@ class CliqueMapClient:
         if not self.config.compression_enabled:
             return value
         if len(value) >= self.config.compression_min_bytes:
-            yield from self.host.execute(
+            yield self.host.execute(
                 len(value) / 1024.0 * self.config.compress_cpu_per_kb,
                 "cliquemap-client")
             compressed = zlib.compress(value)
@@ -1697,7 +1697,7 @@ class CliqueMapClient:
             return stored
         scheme, body = stored[:1], stored[1:]
         if scheme == self._ZLIB:
-            yield from self.host.execute(
+            yield self.host.execute(
                 len(body) / 1024.0 * self.config.decompress_cpu_per_kb,
                 "cliquemap-client")
             return zlib.decompress(body)
@@ -1837,8 +1837,8 @@ class CliqueMapClient:
         build_span = root.child("build", batch=n)
         # One mutation-build charge for the whole batch — the per-op CPU
         # the coalesced path amortizes.
-        yield from self.host.execute(self.config.costs.mutation_cpu,
-                                     "cliquemap-client")
+        yield self.host.execute(self.config.costs.mutation_cpu,
+                                "cliquemap-client")
         encoded: List[bytes] = []
         versions: List[VersionNumber] = []
         for _key, value in items:
@@ -2124,8 +2124,8 @@ class CliqueMapClient:
                     payload_size: int, span=NULL_SPAN,
                     attempt: int = 1) -> Generator:
         """Issue one mutation RPC to every replica; None for failures."""
-        yield from self.host.execute(self.config.costs.mutation_cpu,
-                                     "cliquemap-client")
+        yield self.host.execute(self.config.costs.mutation_cpu,
+                                "cliquemap-client")
         views = self._replica_views(key_hash)
         for shadow in self._shadow_views(key_hash):
             self._shadow_mutate(shadow, method, payload, payload_size)

@@ -15,9 +15,9 @@ contention only occurs at host NICs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Optional
+from typing import Dict, Optional
 
-from ..sim import Process, RandomStream, Simulator
+from ..sim import Event, Process, RandomStream, Simulator
 from ..telemetry import NULL_SPAN
 from .host import Host, HostConfig
 from .nic import MtuConfig, Nic, gbps
@@ -158,6 +158,106 @@ class CrossShardLink:
         return send_time + delay
 
 
+def _ended(sim: Simulator, span) -> Event:
+    """An event whose first callback closes ``span``."""
+    done = Event(sim)
+    if span is not NULL_SPAN:
+        done.callbacks.append((_finish_span, (span,)))
+    return done
+
+
+def _finish_span(_event: Event, span) -> None:
+    span.finish()
+
+
+class _Delivery(Event):
+    """One in-flight NIC-to-NIC transfer, and the event its sender waits on.
+
+    Each leg ends in one kernel callback, at the time and in the order a
+    generator's timeout would have: egress end, arrival, ingress end. The
+    ingress end triggers the event itself, after its bookkeeping.
+    """
+
+    __slots__ = ("fabric", "src", "dst", "wire", "fault", "corrupted",
+                 "span")
+
+    def __init__(self, fabric: "Fabric", src: Host, dst: Host, wire: int,
+                 fault: Optional[LinkFault], corrupted: bool, span):
+        # Inlined Event.__init__: one per fabric delivery.
+        self.sim = fabric.sim
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        self.defused = False
+        self.fabric = fabric
+        self.src = src
+        self.dst = dst
+        self.wire = wire
+        self.fault = fault
+        self.corrupted = corrupted
+        self.span = span
+        self._send()
+
+    def _send(self) -> None:
+        self.src.nic.egress.send(self.wire, self._egress_done)
+
+    def _egress_done(self) -> None:
+        self.src.nic.egress.bytes_carried += self.wire
+        fabric = self.fabric
+        config = fabric.config
+        delay = config.one_way_delay if self.src.zone == self.dst.zone \
+            else config.inter_zone_delay
+        if config.delay_jitter:
+            delay += fabric._rand.uniform(0.0, config.delay_jitter)
+        fault = self.fault
+        if fault is not None and fault.latency_multiplier != 1.0:
+            delay *= fault.latency_multiplier
+            self.span.annotate(slowed=fault.latency_multiplier)
+            fabric._count("cliquemap_fabric_slowed_total",
+                          "Deliveries delayed by an injected slow-link "
+                          "fault")
+        self.sim.call_in(delay, self._arrived)
+
+    def _arrived(self) -> None:
+        self.dst.nic.ingress.send(self.wire, self._ingress_done)
+
+    def _ingress_done(self) -> None:
+        # The ingress end is this event's trigger: bookkeeping first,
+        # then the waiters wake in the same step.
+        self.dst.nic.ingress.bytes_carried += self.wire
+        self._triggered = True
+        self._value = self.corrupted
+        self._process()
+
+
+class _TracedDelivery(_Delivery):
+    """A delivery that also records its legs as child spans of ``span``:
+    egress (queueing + serialization), propagate, ingress."""
+
+    __slots__ = ("leg",)
+
+    def _send(self) -> None:
+        self.leg = self.span.child("egress")
+        super()._send()
+
+    def _egress_done(self) -> None:
+        self.leg.finish()
+        self.leg = self.span.child("propagate")
+        super()._egress_done()
+
+    def _arrived(self) -> None:
+        self.leg.finish()
+        self.leg = self.span.child("ingress")
+        super()._arrived()
+
+    def _ingress_done(self) -> None:
+        self.leg.finish()
+        self.span.finish()
+        super()._ingress_done()
+
+
 class Fabric:
     """A set of hosts and the links between them."""
 
@@ -222,79 +322,72 @@ class Fabric:
     # -- delivery -------------------------------------------------------------
 
     def deliver(self, src: Host, dst: Host, payload_bytes: int,
-                priority: int = 0, trace=None, parts: int = 1) -> Generator:
-        """Move ``payload_bytes`` from ``src`` to ``dst`` (a generator).
+                trace=None, parts: int = 1) -> Event:
+        """Move ``payload_bytes`` from ``src`` to ``dst``; yield the event.
 
-        Completes when the last byte has been received; returns ``True``
-        when an injected gray fault corrupted the delivery in flight (the
-        caller decides what "corrupted" means for its payload — RMA
-        transports flip response bytes, RPC ignores the flag). Loopback
-        delivery (src is dst) skips the NIC entirely. When ``trace`` (a
-        telemetry span) is given, the delivery decomposes into
-        egress-queueing, propagation, and ingress-queueing child spans.
+        The event fires when the last byte has been received. Its value
+        is ``True`` when an injected gray fault corrupted the delivery in
+        flight (the caller decides what "corrupted" means for its payload
+        — RMA transports flip response bytes, RPC ignores the flag); a
+        drop fails it with :class:`NetworkDropError`. Loopback delivery
+        (src is dst) skips the NIC entirely. When ``trace`` (a telemetry
+        span) is given, the delivery decomposes into egress-queueing,
+        propagation, and ingress-queueing child spans.
+
+        The legs run as kernel callbacks, not as a generator: egress end,
+        arrival and ingress end are each one scheduled entry, and the
+        waiting process wakes once, at the end.
 
         ``parts`` declares how many logical operations this single
         transfer coalesces (batched multi-key ops, §7.1): the wire cost is
         still one transfer — that is the point — but the coalescing is
         counted so dashboards can attribute fabric savings to batching.
         """
-        span = (trace or NULL_SPAN).child("fabric.deliver", src=src.name,
-                                          dst=dst.name, bytes=payload_bytes)
+        sim = self.sim
+        if trace is None or trace is NULL_SPAN:
+            span = NULL_SPAN
+        else:
+            span = trace.child("fabric.deliver", src=src.name, dst=dst.name,
+                               bytes=payload_bytes)
         if parts > 1:
             span.annotate(parts=parts)
             self._count("cliquemap_fabric_coalesced_total",
                         "Fabric transfers carrying a coalesced multi-op "
                         "payload")
-        try:
-            if src is dst:
-                yield self.sim.timeout(1e-7)
-                return False
-            if self.is_partitioned(src, dst):
-                # Packets vanish; the sender learns via (re)transmit timeout.
-                span.annotate(dropped=True, reason="partition")
-                self._count_drop("partition")
-                yield self.sim.timeout(self.config.partition_detect_delay)
-                raise NetworkDropError(src.name, dst.name, "partition")
-            fault = self.fault_between(src, dst)
-            corrupted = False
-            if fault is not None:
-                if fault.loss_probability and \
-                        self._rand.bernoulli(fault.loss_probability):
-                    span.annotate(dropped=True, reason="loss")
-                    self._count_drop("loss")
-                    yield self.sim.timeout(
-                        self.config.partition_detect_delay)
-                    raise NetworkDropError(src.name, dst.name, "loss")
-                if fault.corrupt_probability and \
-                        self._rand.bernoulli(fault.corrupt_probability):
-                    corrupted = True
-                    span.annotate(corrupted=True)
-                    self._count("cliquemap_fabric_corrupted_total",
-                                "Deliveries corrupted in flight by an "
-                                "injected gray fault")
-            wire = self.config.mtu.wire_bytes(payload_bytes)
-            egress = span.child("egress")
-            yield from src.nic.egress.transmit(wire, priority)
-            egress.finish()
-            delay = self.config.one_way_delay if src.zone == dst.zone \
-                else self.config.inter_zone_delay
-            if self.config.delay_jitter:
-                delay += self._rand.uniform(0.0, self.config.delay_jitter)
-            if fault is not None and fault.latency_multiplier != 1.0:
-                delay *= fault.latency_multiplier
-                span.annotate(slowed=fault.latency_multiplier)
-                self._count("cliquemap_fabric_slowed_total",
-                            "Deliveries delayed by an injected slow-link "
-                            "fault")
-            propagate = span.child("propagate")
-            yield self.sim.timeout(delay)
-            propagate.finish()
-            ingress = span.child("ingress")
-            yield from dst.nic.ingress.transmit(wire, priority)
-            ingress.finish()
-            return corrupted
-        finally:
-            span.finish()
+        if src is dst:
+            return sim.trigger_at(_ended(sim, span), sim.now + 1e-7, False)
+        if self.is_partitioned(src, dst):
+            # Packets vanish; the sender learns via (re)transmit timeout.
+            span.annotate(dropped=True, reason="partition")
+            self._count_drop("partition")
+            return self._drop(src, dst, span, "partition")
+        fault = self.fault_between(src, dst)
+        corrupted = False
+        if fault is not None:
+            if fault.loss_probability and \
+                    self._rand.bernoulli(fault.loss_probability):
+                span.annotate(dropped=True, reason="loss")
+                self._count_drop("loss")
+                return self._drop(src, dst, span, "loss")
+            if fault.corrupt_probability and \
+                    self._rand.bernoulli(fault.corrupt_probability):
+                corrupted = True
+                span.annotate(corrupted=True)
+                self._count("cliquemap_fabric_corrupted_total",
+                            "Deliveries corrupted in flight by an "
+                            "injected gray fault")
+        delivery = _Delivery if span is NULL_SPAN else _TracedDelivery
+        return delivery(self, src, dst,
+                        self.config.mtu.wire_bytes(payload_bytes), fault,
+                        corrupted, span)
+
+    def _drop(self, src: Host, dst: Host, span, reason: str) -> Event:
+        """A delivery that fails after the retransmit-timeout delay."""
+        sim = self.sim
+        return sim.trigger_at(_ended(sim, span),
+                              sim.now + self.config.partition_detect_delay,
+                              NetworkDropError(src.name, dst.name, reason),
+                              ok=False)
 
     def corrupt(self, data: bytes) -> bytes:
         """Flip one seeded-random byte of ``data`` (a corrupted delivery)."""
@@ -372,17 +465,14 @@ class Fabric:
         if direction not in ("egress", "ingress", "both"):
             raise ValueError(f"bad antagonist direction {direction!r}")
 
-        def chunk_sender(link):
-            yield from link.transmit(chunk_bytes)
-
         def antagonist():
             interval = chunk_bytes / offered_bytes_per_sec
             rand = self._rand.child(f"antagonist:{target.name}")
             while True:
                 if direction in ("egress", "both"):
-                    self.sim.process(chunk_sender(target.nic.egress))
+                    target.nic.egress.transmit(chunk_bytes)
                 if direction in ("ingress", "both"):
-                    self.sim.process(chunk_sender(target.nic.ingress))
+                    target.nic.ingress.transmit(chunk_bytes)
                 yield self.sim.timeout(rand.expovariate(1.0 / interval))
 
         proc = self.sim.process(antagonist(),

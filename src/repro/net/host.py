@@ -1,10 +1,10 @@
 """Simulated hosts: CPU core pools, per-component CPU accounting, C-states.
 
 A :class:`Host` owns a pool of cores. Any component that burns CPU (RPC
-framework, CliqueMap client/backend code, Pony Express engines, language
-shims) does so by yielding from :meth:`Host.execute`, which charges the
-cost to a named component in the host's :class:`CpuLedger`. The ledger is
-what the CPU-efficiency figures (Fig 6b, Fig 7, Fig 19) read out.
+framework, CliqueMap client/backend code, language shims) does so by
+yielding the event :meth:`Host.execute` returns, which charges the cost
+to a named component in the host's :class:`CpuLedger`. The ledger is what
+the CPU-efficiency figures (Fig 6b, Fig 7, Fig 19) read out.
 
 The C-state model reproduces the power-saving effect the paper observes in
 the 1RMA ramp (Fig 16/17): after a host has been idle longer than
@@ -15,9 +15,9 @@ useful work, so the *lowest* offered load sees the *highest* latency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Optional
+from typing import Dict, Optional
 
-from ..sim import Resource, Simulator
+from ..sim import Event, Hold, Resource, Simulator
 
 
 @dataclass
@@ -96,27 +96,18 @@ class Host:
     # -- CPU execution -------------------------------------------------------
 
     def execute(self, cpu_seconds: float, component: str,
-                priority: int = 0) -> Generator:
+                priority: int = 0) -> Event:
         """Run ``cpu_seconds`` of work on some core, charging ``component``.
 
-        A generator; drive it with ``yield from``. Includes queueing for a
-        free core and any C-state wake-up penalty.
+        Returns the event to yield: it fires when the work is done, after
+        the ledger charge and the core's release. Includes queueing for
+        a free core and any C-state wake-up penalty. Raises
+        :class:`HostDownError` at once on a crashed host; the event fails
+        with it when the host crashed while the work waited for a core.
         """
         if not self._alive:
             raise HostDownError(self.name)
-        req = self.cores.request(priority=priority)
-        yield req
-        try:
-            if not self._alive:
-                raise HostDownError(self.name)
-            wake = self._wakeup_penalty()
-            work = cpu_seconds * self.config.cpu_slowdown
-            if wake + work > 0:
-                yield self.sim.timeout(wake + work)
-            self.ledger.charge(component, work)
-            self._last_busy = self.sim.now
-        finally:
-            self.cores.release(req)
+        return _CpuBurst(self, cpu_seconds, component, priority)
 
     def _wakeup_penalty(self) -> float:
         cs = self.config.c_state
@@ -140,6 +131,31 @@ class Host:
 
     def __repr__(self) -> str:
         return f"Host({self.name!r}, cores={self.config.cores})"
+
+
+class _CpuBurst(Hold):
+    """One :meth:`Host.execute`: hold a core, then charge the ledger."""
+
+    __slots__ = ("_host", "_cpu_seconds", "_component", "_work")
+
+    def __init__(self, host: Host, cpu_seconds: float, component: str,
+                 priority: int):
+        self._host = host
+        self._cpu_seconds = cpu_seconds
+        self._component = component
+        super().__init__(host.cores, priority)
+
+    def _begin(self) -> float:
+        host = self._host
+        if not host._alive:
+            raise HostDownError(host.name)
+        self._work = self._cpu_seconds * host.config.cpu_slowdown
+        return host._wakeup_penalty() + self._work
+
+    def _end(self) -> None:
+        host = self._host
+        host.ledger.charge(self._component, self._work)
+        host._last_busy = host.sim.now
 
 
 class HostDownError(Exception):

@@ -2,19 +2,19 @@
 
 A :class:`Link` is a single serializing server: a transfer of N wire bytes
 holds the link for ``N / rate`` simulated seconds, and competing transfers
-queue FIFO (or by priority). Each host gets a NIC with an independent
-egress and ingress link — which is exactly what makes *incast* (many
-senders converging on one receiver's ingress link, Fig 12) and *antagonist
-load* (a bandwidth hog on one server's NIC, Fig 11) emerge naturally.
+queue FIFO. Each host gets a NIC with an independent egress and ingress
+link — which is exactly what makes *incast* (many senders converging on
+one receiver's ingress link, Fig 12) and *antagonist load* (a bandwidth
+hog on one server's NIC, Fig 11) emerge naturally.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Generator
+from typing import Any, Callable
 
-from ..sim import Resource, Simulator
+from ..sim import Event, FifoServer, Simulator
 
 
 def gbps(value: float) -> float:
@@ -41,7 +41,12 @@ class MtuConfig:
 
 
 class Link:
-    """A unidirectional serializing link of fixed rate."""
+    """A unidirectional serializing link of fixed rate.
+
+    A closed-form FIFO (:class:`~repro.sim.resources.FifoServer`): a
+    transfer's finish time is computed when it is queued, and its end is
+    one scheduled entry, with no request or grant event.
+    """
 
     def __init__(self, sim: Simulator, rate_bytes_per_sec: float,
                  name: str = ""):
@@ -50,25 +55,41 @@ class Link:
         self.sim = sim
         self.name = name
         self.rate = rate_bytes_per_sec
-        self._server = Resource(sim, capacity=1, name=f"link:{name}")
+        self._server = FifoServer(sim, name=f"link:{name}")
         self.bytes_carried = 0
 
-    def transmit(self, wire_bytes: int, priority: int = 0) -> Generator:
-        """Serialize ``wire_bytes`` through the link (a generator)."""
-        req = self._server.request(priority=priority)
-        yield req
-        try:
-            yield self.sim.timeout(wire_bytes / self.rate)
-            self.bytes_carried += wire_bytes
-        finally:
-            self._server.release(req)
+    def send(self, wire_bytes: int, fn: Callable, *args: Any) -> float:
+        """Queue ``wire_bytes``; ``fn(*args)`` runs once the last byte left.
 
-    def utilization(self) -> float:
-        return self._server.utilization()
+        Returns that time. The callback counts the bytes
+        (``bytes_carried``) itself, so it can order the count with the
+        rest of its bookkeeping.
+        """
+        return self._server.reserve(wire_bytes / self.rate, fn, *args)
 
-    @property
-    def queue_len(self) -> int:
-        return self._server.queue_len
+    def transmit(self, wire_bytes: int) -> Event:
+        """Serialize ``wire_bytes``; the event fires when they are through."""
+        done = _Transmission(self, wire_bytes)
+        self.send(wire_bytes, done._carried)
+        return done
+
+
+class _Transmission(Event):
+    """One :meth:`Link.transmit`, as the event its sender waits on."""
+
+    __slots__ = ("_link", "_wire_bytes")
+
+    def __init__(self, link: Link, wire_bytes: int):
+        super().__init__(link.sim)
+        self._link = link
+        self._wire_bytes = wire_bytes
+
+    def _carried(self) -> None:
+        # The link's end-of-job entry is this event's trigger: count the
+        # bytes, then wake the waiters in the same step.
+        self._link.bytes_carried += self._wire_bytes
+        self._triggered = True
+        self._process()
 
 
 class Nic:

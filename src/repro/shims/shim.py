@@ -83,7 +83,7 @@ class LanguageShim:
         profile = self.profile
         if profile.marshal_cpu <= 0:
             return
-        yield from self.client.host.execute(
+        yield self.client.host.execute(
             profile.marshal_cpu +
             payload_bytes / 1024.0 * profile.per_kilobyte_cpu,
             self.component)

@@ -5,11 +5,12 @@ from .core import (AllOf, AnyOf, Event, Interrupt, Process, SimulationError,
 from .parallel import (ShardCoordinator, ShardMessage, ShardProgram,
                        ShardRunReport)
 from .rand import MixtureSizeDistribution, RandomStream, ZipfSampler, percentile
-from .resources import Request, Resource, Store
+from .resources import FifoServer, Hold, Request, Resource, Store
 
 __all__ = [
     "AllOf", "AnyOf", "Event", "Interrupt", "Process", "SimulationError",
-    "Simulator", "Timeout", "Request", "Resource", "Store",
-    "RandomStream", "ZipfSampler", "MixtureSizeDistribution", "percentile",
+    "Simulator", "Timeout", "FifoServer", "Hold", "Request", "Resource",
+    "Store", "RandomStream", "ZipfSampler", "MixtureSizeDistribution",
+    "percentile",
     "ShardCoordinator", "ShardMessage", "ShardProgram", "ShardRunReport",
 ]

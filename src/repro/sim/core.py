@@ -267,9 +267,11 @@ class Process(Event):
                 event.defused = True
                 target = self._throw(event._value)
         except StopIteration as stop:
+            self._finished()
             self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - process died
+            self._finished()
             self.fail(exc)
             return
         if not isinstance(target, Event):
@@ -286,6 +288,14 @@ class Process(Event):
         else:
             cbs.append((self._wait_cb, ()))
 
+    def _finished(self) -> None:
+        # Drop what only a running process needs: the last awaited event
+        # (a finished process can outlive its wait, e.g. held by a pending
+        # deadline timer's condition) and the bound wake-up callback,
+        # whose self-reference would leave the process to the cyclic GC.
+        self._waiting_on = None
+        self._wait_cb = None
+
     def _throw_with(self, exc: BaseException) -> None:
         if self._triggered:
             return
@@ -295,9 +305,11 @@ class Process(Event):
         try:
             target = advance(arg)
         except StopIteration as stop:
+            self._finished()
             self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - process died
+            self._finished()
             self.fail(exc)
             return
         if not isinstance(target, Event):
@@ -527,6 +539,33 @@ class Simulator:
                     (self.now + delay, self._seq, ev._bound_process, ()))
             return ev
         return _PooledTimeout(self, delay, value)
+
+    def trigger_at(self, event: Event, at: float, value: Any = None,
+                   ok: bool = True) -> Event:
+        """Trigger ``event`` at the absolute simulated time ``at``.
+
+        The event is marked triggered now and its callbacks run when the
+        entry comes due, exactly like a :class:`Timeout`'s: one queue
+        entry, taking the next sequence number. Callers that compute the
+        end of a hold pass ``now + duration`` (or a closed-form finish
+        time), the same float a ``timeout(duration)`` would schedule.
+        With ``ok=False`` the event fails with ``value`` (an exception).
+        """
+        if event._triggered:
+            raise SimulationError(
+                f"event already triggered (now={self.now!r})")
+        if at < self.now:
+            raise SimulationError(
+                f"cannot schedule at {at!r}, in the past (now={self.now!r})")
+        event._triggered = True
+        event._ok = ok
+        event._value = value
+        self._seq += 1
+        if at == self.now:
+            self._ready.append((self._seq, event._process, ()))
+        else:
+            heapq.heappush(self._heap, (at, self._seq, event._process, ()))
+        return event
 
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name)

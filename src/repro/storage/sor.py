@@ -271,8 +271,8 @@ class SystemOfRecord:
 
     def _handle_read(self, payload, context: HandlerContext) -> Generator:
         key: bytes = payload["key"]
-        yield from self.host.execute(self.cost.cpu_per_read,
-                                     f"storage:{self.name}")
+        yield self.host.execute(self.cost.cpu_per_read,
+                                f"storage:{self.name}")
         value = self._data.get(key)
         if not self._admit(self._read_bucket, len(value) if value else 0):
             self.throttled += 1
@@ -293,8 +293,8 @@ class SystemOfRecord:
         key: bytes = payload["key"]
         delete: bool = bool(payload.get("delete"))
         value: Optional[bytes] = None if delete else payload["value"]
-        yield from self.host.execute(self.cost.cpu_per_read,
-                                     f"storage:{self.name}")
+        yield self.host.execute(self.cost.cpu_per_read,
+                                f"storage:{self.name}")
         if self._sealed:
             self._count("write", "sealed")
             return {"applied": False, "reason": "sealed"}
@@ -322,8 +322,8 @@ class SystemOfRecord:
         """Cursor-based bulk scan for corpus loading."""
         cursor: int = payload.get("cursor", 0)
         limit: int = payload.get("limit", 64)
-        yield from self.host.execute(self.cost.cpu_per_read,
-                                     f"storage:{self.name}")
+        yield self.host.execute(self.cost.cpu_per_read,
+                                f"storage:{self.name}")
         keys = self._keys_ordered[cursor:cursor + limit]
         entries: List[Tuple[bytes, bytes]] = [(k, self._data[k])
                                               for k in keys]

@@ -66,8 +66,8 @@ class OneRmaTransport(Transport):
         """Perform a one-sided 1RMA read; returns the snapshot bytes."""
         trace = trace or NULL_SPAN
         tx = trace.child("nic.tx")
-        yield from client_host.execute(self.cost.client_submit_cpu,
-                                       "rma-client")
+        yield client_host.execute(self.cost.client_submit_cpu,
+                                  "rma-client")
         window = self._window_for(client_host)
         slot = window.request()
         yield slot
@@ -82,9 +82,9 @@ class OneRmaTransport(Transport):
                         region_id: int, offset: int,
                         size: int, trace=NULL_SPAN) -> Generator:
         issued_at = self.sim.now  # NIC-side measurement starts here
-        yield from self.fabric.deliver(client_host,
-                                       self._remote_host(server_name),
-                                       RMA_REQUEST_BYTES, trace=trace)
+        yield self.fabric.deliver(client_host,
+                                  self._remote_host(server_name),
+                                  RMA_REQUEST_BYTES, trace=trace)
         endpoint = yield from self._check_remote(server_name, client_host)
         serve_span = trace.child("backend.serve", host=server_name)
         yield self.sim.timeout(self.cost.server_nic_latency)
@@ -94,7 +94,7 @@ class OneRmaTransport(Transport):
                                size / self.cost.pcie_bytes_per_sec)
         data = window.read(offset, size)  # the snapshot instant
         serve_span.finish()
-        corrupted = yield from self.fabric.deliver(
+        corrupted = yield self.fabric.deliver(
             endpoint.host, client_host,
             len(data) + RMA_RESPONSE_HEADER_BYTES, trace=trace)
         data = self._maybe_corrupt(data, corrupted)
@@ -102,8 +102,8 @@ class OneRmaTransport(Transport):
             self.command_timestamps.append(
                 (self.sim.now, self.sim.now - issued_at))
         rx = trace.child("nic.rx")
-        yield from client_host.execute(self.cost.client_complete_cpu,
-                                       "rma-client")
+        yield client_host.execute(self.cost.client_complete_cpu,
+                                  "rma-client")
         rx.finish()
         self.counters.reads += 1
         self.counters.bytes_fetched += len(data)
@@ -124,16 +124,16 @@ class OneRmaTransport(Transport):
         n = len(requests)
         span = trace.child("nic.batch", entries=n)
         submit_cost = self.cost.client_submit_cpu
-        yield from client_host.execute(submit_cost, "rma-client")
+        yield client_host.execute(submit_cost, "rma-client")
         window = self._window_for(client_host)
         slot = window.request()
         yield slot
         try:
             issued_at = self.sim.now
-            yield from self.fabric.deliver(client_host,
-                                           self._remote_host(server_name),
-                                           self._batch_request_bytes(n),
-                                           parts=n, trace=span)
+            yield self.fabric.deliver(client_host,
+                                      self._remote_host(server_name),
+                                      self._batch_request_bytes(n),
+                                      parts=n, trace=span)
             endpoint = yield from self._check_remote(server_name, client_host)
             serve_span = span.child("backend.serve", host=server_name,
                                     op="batch")
@@ -143,7 +143,7 @@ class OneRmaTransport(Transport):
                                    total_size / self.cost.pcie_bytes_per_sec)
             results = self._read_entries(endpoint, requests)
             serve_span.finish()
-            corrupted = yield from self.fabric.deliver(
+            corrupted = yield self.fabric.deliver(
                 endpoint.host, client_host,
                 self._batch_response_bytes(results), parts=n, trace=span)
             results = self._corrupt_largest(results, corrupted)
@@ -153,7 +153,7 @@ class OneRmaTransport(Transport):
         finally:
             window.release(slot)
         complete_cost = self.cost.client_complete_cpu
-        yield from client_host.execute(complete_cost, "rma-client")
+        yield client_host.execute(complete_cost, "rma-client")
         span.finish()
         self.counters.bytes_fetched += sum(
             len(r) for r in results if isinstance(r, bytes))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..net import Host
-from ..sim import Resource, Simulator
+from ..sim import Event, Hold, Resource, Simulator
 from ..telemetry import NULL_SPAN
 from .base import (RMA_REQUEST_BYTES, RMA_RESPONSE_HEADER_BYTES, Transport)
 from .memory import RegionRevokedError, RmaOutOfBoundsError
@@ -51,6 +51,23 @@ class PonyScaleConfig:
     scale_down_threshold: float = 0.25
 
 
+class _EnginePass(Hold):
+    """One pass through a Pony engine: hold a slot, then charge the CPU."""
+
+    __slots__ = ("_group", "_service_time")
+
+    def __init__(self, group: "PonyEngineGroup", service_time: float):
+        self._group = group
+        self._service_time = service_time
+        super().__init__(group.engines)
+
+    def _begin(self) -> float:
+        return self._service_time
+
+    def _end(self) -> None:
+        self._group.host.charge_inline(self._service_time, "pony")
+
+
 class PonyEngineGroup:
     """The Pony engines on one host: a served queue with dynamic capacity."""
 
@@ -70,20 +87,17 @@ class PonyEngineGroup:
     def engine_count(self) -> int:
         return self.engines.capacity
 
-    def serve(self, service_time: float) -> Generator:
-        """Occupy an engine for ``service_time``; charges host CPU."""
-        self._ensure_monitor()
-        req = self.engines.request()
-        yield req
-        try:
-            yield self.sim.timeout(service_time)
-            self.host.charge_inline(service_time, "pony")
-        finally:
-            self.engines.release(req)
+    def serve(self, service_time: float) -> Event:
+        """Occupy an engine for ``service_time``; charges host CPU.
 
-    def _ensure_monitor(self) -> None:
-        if self._monitor_started:
-            return
+        Returns the event to yield: it fires when the engine pass ends,
+        after the CPU charge and the engine's release.
+        """
+        if not self._monitor_started:
+            self._start_monitor()
+        return _EnginePass(self, service_time)
+
+    def _start_monitor(self) -> None:
         self._monitor_started = True
         proc = self.sim.process(self._monitor(), name=f"pony-mon:{self.host.name}")
         proc.defused = True
@@ -159,25 +173,25 @@ class PonyTransport(Transport):
         """One-sided read served by the remote Pony engines."""
         trace = trace or NULL_SPAN
         tx = trace.child("nic.tx")
-        yield from self.engine_group(client_host).serve(self.cost.client_tx)
+        yield self.engine_group(client_host).serve(self.cost.client_tx)
         tx.finish()
-        yield from self.fabric.deliver(client_host,
-                                       self._remote_host(server_name),
-                                       RMA_REQUEST_BYTES, trace=trace)
+        yield self.fabric.deliver(client_host,
+                                  self._remote_host(server_name),
+                                  RMA_REQUEST_BYTES, trace=trace)
         endpoint = yield from self._check_remote(server_name, client_host)
         server_group = self.engine_group(endpoint.host)
         serve_span = trace.child("backend.serve", host=server_name)
-        yield from server_group.serve(self.cost.server_read +
-                                      self._payload_cost(size))
+        yield server_group.serve(self.cost.server_read +
+                                 self._payload_cost(size))
         window = self._resolve_or_fail(endpoint, region_id)
         data = window.read(offset, size)  # the snapshot instant
         serve_span.finish()
-        corrupted = yield from self.fabric.deliver(
+        corrupted = yield self.fabric.deliver(
             endpoint.host, client_host,
             len(data) + RMA_RESPONSE_HEADER_BYTES, trace=trace)
         data = self._maybe_corrupt(data, corrupted)
         rx = trace.child("nic.rx")
-        yield from self.engine_group(client_host).serve(
+        yield self.engine_group(client_host).serve(
             self.cost.client_rx + self._payload_cost(len(data)))
         rx.finish()
         self.counters.reads += 1
@@ -200,10 +214,10 @@ class PonyTransport(Transport):
         span = trace.child("nic.batch", entries=n)
         req_bytes = self._batch_request_bytes(n)
         tx_cost = self.cost.client_tx + self._payload_cost(req_bytes)
-        yield from self.engine_group(client_host).serve(tx_cost)
-        yield from self.fabric.deliver(client_host,
-                                       self._remote_host(server_name),
-                                       req_bytes, parts=n, trace=span)
+        yield self.engine_group(client_host).serve(tx_cost)
+        yield self.fabric.deliver(client_host,
+                                  self._remote_host(server_name),
+                                  req_bytes, parts=n, trace=span)
         endpoint = yield from self._check_remote(server_name, client_host)
         server_group = self.engine_group(endpoint.host)
         serve_span = span.child("backend.serve", host=server_name, op="batch")
@@ -211,15 +225,15 @@ class PonyTransport(Transport):
         serve_cost = (self.cost.server_read +
                       self.cost.batch_entry * (n - 1) +
                       self._payload_cost(total_size))
-        yield from server_group.serve(serve_cost)
+        yield server_group.serve(serve_cost)
         results = self._read_entries(endpoint, requests)
         serve_span.finish()
         resp_bytes = self._batch_response_bytes(results)
-        corrupted = yield from self.fabric.deliver(
+        corrupted = yield self.fabric.deliver(
             endpoint.host, client_host, resp_bytes, parts=n, trace=span)
         results = self._corrupt_largest(results, corrupted)
         rx_cost = self.cost.client_rx + self._payload_cost(resp_bytes)
-        yield from self.engine_group(client_host).serve(rx_cost)
+        yield self.engine_group(client_host).serve(rx_cost)
         span.finish()
         self.counters.bytes_fetched += sum(
             len(r) for r in results if isinstance(r, bytes))
@@ -239,21 +253,21 @@ class PonyTransport(Transport):
         """
         trace = trace or NULL_SPAN
         tx = trace.child("nic.tx")
-        yield from self.engine_group(client_host).serve(self.cost.client_tx)
+        yield self.engine_group(client_host).serve(self.cost.client_tx)
         tx.finish()
-        yield from self.fabric.deliver(client_host,
-                                       self._remote_host(server_name),
-                                       RMA_REQUEST_BYTES + len(key_hash),
-                                       trace=trace)
+        yield self.fabric.deliver(client_host,
+                                  self._remote_host(server_name),
+                                  RMA_REQUEST_BYTES + len(key_hash),
+                                  trace=trace)
         endpoint = yield from self._check_remote(server_name, client_host)
         if endpoint.scar_program is None:
             raise RegionRevokedError(index_region_id)
 
         server_group = self.engine_group(endpoint.host)
         serve_span = trace.child("backend.serve", host=server_name, op="scar")
-        yield from server_group.serve(self.cost.server_read +
-                                      self.cost.scar_scan +
-                                      self._payload_cost(bucket_size))
+        yield server_group.serve(self.cost.server_read +
+                                 self.cost.scar_scan +
+                                 self._payload_cost(bucket_size))
         window = self._resolve_or_fail(endpoint, index_region_id)
         bucket = window.read(bucket_offset, bucket_size)
 
@@ -263,7 +277,7 @@ class PonyTransport(Transport):
             data_region_id, data_offset, data_size = pointer
             try:
                 data_window = endpoint.resolve(data_region_id)
-                yield from server_group.serve(self._payload_cost(data_size))
+                yield server_group.serve(self._payload_cost(data_size))
                 data = data_window.read(data_offset, data_size)
             except (RegionRevokedError, RmaOutOfBoundsError):
                 # Pointer raced with a reshape/eviction; return just the
@@ -273,8 +287,8 @@ class PonyTransport(Transport):
 
         resp_bytes = (len(bucket) + (len(data) if data else 0) +
                       RMA_RESPONSE_HEADER_BYTES)
-        corrupted = yield from self.fabric.deliver(endpoint.host, client_host,
-                                                   resp_bytes, trace=trace)
+        corrupted = yield self.fabric.deliver(endpoint.host, client_host,
+                                              resp_bytes, trace=trace)
         if corrupted:
             # The flip lands in whichever section dominates the response:
             # the data copy when the scan hit, the bucket otherwise.
@@ -283,7 +297,7 @@ class PonyTransport(Transport):
             else:
                 bucket = self._maybe_corrupt(bucket, corrupted)
         rx = trace.child("nic.rx")
-        yield from self.engine_group(client_host).serve(
+        yield self.engine_group(client_host).serve(
             self.cost.client_rx + self._payload_cost(resp_bytes))
         rx.finish()
         self.counters.scars += 1
@@ -307,12 +321,12 @@ class PonyTransport(Transport):
         """Send a two-sided message and await the application's reply."""
         trace = trace or NULL_SPAN
         tx = trace.child("nic.tx")
-        yield from self.engine_group(client_host).serve(
+        yield self.engine_group(client_host).serve(
             self.cost.client_tx + self._payload_cost(request_bytes))
         tx.finish()
-        yield from self.fabric.deliver(client_host,
-                                       self._remote_host(server_name),
-                                       request_bytes, trace=trace)
+        yield self.fabric.deliver(client_host,
+                                  self._remote_host(server_name),
+                                  request_bytes, trace=trace)
         endpoint = yield from self._check_remote(server_name, client_host)
         handlers = self._msg_handlers.get(server_name, {})
         if name not in handlers:
@@ -321,23 +335,23 @@ class PonyTransport(Transport):
         server_host = endpoint.host
         server_group = self.engine_group(server_host)
         serve_span = trace.child("backend.serve", host=server_name, op="msg")
-        yield from server_group.serve(self.cost.server_read +
-                                      self._payload_cost(request_bytes))
+        yield server_group.serve(self.cost.server_read +
+                                 self._payload_cost(request_bytes))
         # Wake an application thread and run the handler on host CPU —
         # the expensive part two-sided designs pay (§6.3).
         app_span = serve_span.child("app-thread")
-        yield from server_host.execute(self.cost.msg_thread_wakeup +
-                                       self.cost.msg_app_cpu, "msg-app")
+        yield server_host.execute(self.cost.msg_thread_wakeup +
+                                  self.cost.msg_app_cpu, "msg-app")
         response_payload, response_bytes = handlers[name](request_payload)
         app_span.finish()
-        yield from server_group.serve(self.cost.client_tx +
-                                      self._payload_cost(response_bytes))
+        yield server_group.serve(self.cost.client_tx +
+                                 self._payload_cost(response_bytes))
         serve_span.finish()
-        yield from self.fabric.deliver(server_host, client_host,
-                                       response_bytes +
-                                       RMA_RESPONSE_HEADER_BYTES, trace=trace)
+        yield self.fabric.deliver(server_host, client_host,
+                                  response_bytes +
+                                  RMA_RESPONSE_HEADER_BYTES, trace=trace)
         rx = trace.child("nic.rx")
-        yield from self.engine_group(client_host).serve(
+        yield self.engine_group(client_host).serve(
             self.cost.client_rx + self._payload_cost(response_bytes))
         rx.finish()
         self.counters.messages += 1

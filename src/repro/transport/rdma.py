@@ -43,12 +43,12 @@ class RdmaTransport(Transport):
         """Perform a one-sided read; returns the snapshot bytes."""
         trace = trace or NULL_SPAN
         tx = trace.child("nic.tx")
-        yield from client_host.execute(self.cost.client_post_cpu,
-                                       "rma-client")
+        yield client_host.execute(self.cost.client_post_cpu,
+                                  "rma-client")
         tx.finish()
-        yield from self.fabric.deliver(client_host,
-                                       self._remote_host(server_name),
-                                       RMA_REQUEST_BYTES, trace=trace)
+        yield self.fabric.deliver(client_host,
+                                  self._remote_host(server_name),
+                                  RMA_REQUEST_BYTES, trace=trace)
         endpoint = yield from self._check_remote(server_name, client_host)
         # NIC processing + DMA at the server; no server CPU involved.
         serve_span = trace.child("backend.serve", host=server_name)
@@ -56,13 +56,13 @@ class RdmaTransport(Transport):
         window = self._resolve_or_fail(endpoint, region_id)
         data = window.read(offset, size)  # the snapshot instant
         serve_span.finish()
-        corrupted = yield from self.fabric.deliver(
+        corrupted = yield self.fabric.deliver(
             endpoint.host, client_host,
             len(data) + RMA_RESPONSE_HEADER_BYTES, trace=trace)
         data = self._maybe_corrupt(data, corrupted)
         rx = trace.child("nic.rx")
-        yield from client_host.execute(self.cost.client_poll_cpu,
-                                       "rma-client")
+        yield client_host.execute(self.cost.client_poll_cpu,
+                                  "rma-client")
         rx.finish()
         self.counters.reads += 1
         self.counters.bytes_fetched += len(data)
@@ -82,23 +82,23 @@ class RdmaTransport(Transport):
         n = len(requests)
         span = trace.child("nic.batch", entries=n)
         post_cost = self.cost.client_post_cpu
-        yield from client_host.execute(post_cost, "rma-client")
-        yield from self.fabric.deliver(client_host,
-                                       self._remote_host(server_name),
-                                       self._batch_request_bytes(n),
-                                       parts=n, trace=span)
+        yield client_host.execute(post_cost, "rma-client")
+        yield self.fabric.deliver(client_host,
+                                  self._remote_host(server_name),
+                                  self._batch_request_bytes(n),
+                                  parts=n, trace=span)
         endpoint = yield from self._check_remote(server_name, client_host)
         serve_span = span.child("backend.serve", host=server_name, op="batch")
         yield self.sim.timeout(self.cost.server_nic_latency +
                                self.cost.batch_entry_latency * (n - 1))
         results = self._read_entries(endpoint, requests)
         serve_span.finish()
-        corrupted = yield from self.fabric.deliver(
+        corrupted = yield self.fabric.deliver(
             endpoint.host, client_host,
             self._batch_response_bytes(results), parts=n, trace=span)
         results = self._corrupt_largest(results, corrupted)
         poll_cost = self.cost.client_poll_cpu
-        yield from client_host.execute(poll_cost, "rma-client")
+        yield client_host.execute(poll_cost, "rma-client")
         span.finish()
         self.counters.bytes_fetched += sum(
             len(r) for r in results if isinstance(r, bytes))

@@ -30,7 +30,7 @@ def test_partitioned_delivery_raises_after_detect_delay():
     def send():
         start = sim.now
         try:
-            yield from fabric.deliver(a, b, 100)
+            yield fabric.deliver(a, b, 100)
         except NetworkDropError:
             return sim.now - start
         return None
@@ -40,7 +40,7 @@ def test_partitioned_delivery_raises_after_detect_delay():
     fabric.heal(a, b)
 
     def send_ok():
-        yield from fabric.deliver(a, b, 100)
+        yield fabric.deliver(a, b, 100)
         return True
 
     assert sim.run(until=sim.process(send_ok()))

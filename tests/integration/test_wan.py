@@ -26,12 +26,12 @@ def test_cross_zone_delivery_pays_wan_latency():
 
     def cross():
         start = sim.now
-        yield from fabric.deliver(a, b, 100)
+        yield fabric.deliver(a, b, 100)
         return sim.now - start
 
     def local():
         start = sim.now
-        yield from fabric.deliver(a, c, 100)
+        yield fabric.deliver(a, c, 100)
         return sim.now - start
 
     wan = sim.run(until=sim.process(cross()))

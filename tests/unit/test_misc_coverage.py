@@ -42,16 +42,16 @@ def test_host_priority_orders_core_grants():
     order = []
 
     def holder():
-        yield from host.execute(10e-6, "holder")
+        yield host.execute(10e-6, "holder")
 
     def low():
         yield sim.timeout(1e-6)
-        yield from host.execute(1e-6, "low", priority=10)
+        yield host.execute(1e-6, "low", priority=10)
         order.append("low")
 
     def high():
         yield sim.timeout(2e-6)
-        yield from host.execute(1e-6, "high", priority=0)
+        yield host.execute(1e-6, "high", priority=0)
         order.append("high")
 
     sim.process(holder())
@@ -66,7 +66,7 @@ def test_host_zero_cost_execute():
     host = Host(sim, "h", HostConfig(cores=1))
 
     def proc():
-        yield from host.execute(0.0, "noop")
+        yield host.execute(0.0, "noop")
         return sim.now
 
     assert sim.run(until=sim.process(proc())) == 0.0

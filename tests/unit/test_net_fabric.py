@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.net import Fabric, FabricConfig, Link, MtuConfig, gbps
+from repro.net import (Fabric, FabricConfig, Link, LinkFault, MtuConfig,
+                       NetworkDropError, gbps)
 from repro.sim import Simulator
+from repro.telemetry.trace import Span
 
 
 def make_fabric(rate=gbps(50.0), delay=4e-6, jitter=0.0):
@@ -38,7 +40,7 @@ def test_link_serialization_delay():
     done = []
 
     def proc():
-        yield from link.transmit(1000)
+        yield link.transmit(1000)
         done.append(sim.now)
 
     sim.process(proc())
@@ -53,7 +55,7 @@ def test_link_queues_concurrent_transfers():
     ends = []
 
     def proc():
-        yield from link.transmit(1000)
+        yield link.transmit(1000)
         ends.append(sim.now)
 
     sim.process(proc())
@@ -75,7 +77,7 @@ def test_deliver_end_to_end_latency():
     done = []
 
     def proc():
-        yield from fabric.deliver(a, b, 1000)
+        yield fabric.deliver(a, b, 1000)
         done.append(sim.now)
 
     sim.process(proc())
@@ -91,7 +93,7 @@ def test_deliver_counts_nic_bytes():
     b = fabric.add_host("b")
 
     def proc():
-        yield from fabric.deliver(a, b, 1000)
+        yield fabric.deliver(a, b, 1000)
 
     sim.process(proc())
     sim.run()
@@ -107,7 +109,7 @@ def test_loopback_delivery_is_fast():
     done = []
 
     def proc():
-        yield from fabric.deliver(a, a, 10 ** 6)
+        yield fabric.deliver(a, a, 10 ** 6)
         done.append(sim.now)
 
     sim.process(proc())
@@ -131,7 +133,7 @@ def test_incast_delays_concurrent_senders():
     ends = []
 
     def proc(src):
-        yield from fabric.deliver(src, receiver, 100_000)
+        yield fabric.deliver(src, receiver, 100_000)
         ends.append(sim.now)
 
     for src in senders:
@@ -158,7 +160,7 @@ def test_antagonist_consumes_bandwidth():
         yield sim.timeout(5e-3)
         for _ in range(20):
             start = sim.now
-            yield from fabric.deliver(other, victim, 4096)
+            yield fabric.deliver(other, victim, 4096)
             latencies.append(sim.now - start)
             yield sim.timeout(1e-4)
 
@@ -175,3 +177,97 @@ def test_antagonist_direction_validated():
     victim = fabric.add_host("v")
     with pytest.raises(ValueError):
         fabric.start_antagonist(victim, 1e6, direction="sideways")
+
+
+def test_traced_deliver_legs_close_inside_the_delivery_span():
+    sim, fabric = make_fabric(rate=1e9, delay=5e-6)
+    a = fabric.add_host("a")
+    b = fabric.add_host("b")
+    root = Span("op", lambda: sim.now)
+    corrupted = []
+
+    def proc():
+        # An untraced transfer ahead of ours: our egress leg queues.
+        fabric.deliver(a, b, 1000)
+        corrupted.append((yield fabric.deliver(a, b, 1000, trace=root)))
+        root.finish()
+
+    sim.process(proc())
+    sim.run()
+    wire = fabric.config.mtu.wire_bytes(1000)
+    one = wire / 1e9
+    (deliver,) = root.children
+    assert deliver.name == "fabric.deliver"
+    assert [c.name for c in deliver.children] == ["egress", "propagate",
+                                                  "ingress"]
+    egress, propagate, ingress = deliver.children
+    # The same floats the generator legs produced: each leg ends where
+    # the next begins, and the delivery closes with its last leg.
+    assert (egress.start, egress.end) == (0.0, one + one)
+    assert (propagate.start, propagate.end) == (egress.end,
+                                                egress.end + 5e-6)
+    assert ingress.start == propagate.end
+    # Both transfers arrive one serialization apart: no ingress queueing.
+    assert ingress.end == pytest.approx(ingress.start + one)
+    assert (deliver.start, deliver.end) == (0.0, ingress.end)
+    assert corrupted == [False]
+    assert a.nic.bytes_sent == 2 * wire
+    assert b.nic.bytes_received == 2 * wire
+
+
+def test_lossy_delivery_fails_after_detect_delay_and_closes_span():
+    sim, fabric = make_fabric()
+    a = fabric.add_host("a")
+    b = fabric.add_host("b")
+    fabric.degrade(a, b, LinkFault(loss_probability=1.0))
+    root = Span("op", lambda: sim.now)
+    caught = []
+
+    def proc():
+        try:
+            yield fabric.deliver(a, b, 100, trace=root)
+        except NetworkDropError as exc:
+            caught.append((exc.reason, sim.now))
+
+    sim.process(proc())
+    sim.run()
+    detect = fabric.config.partition_detect_delay
+    assert caught == [("loss", detect)]
+    (deliver,) = root.children
+    assert deliver.end == detect
+    assert deliver.labels["dropped"] is True
+    assert a.nic.bytes_sent == 0
+
+
+def test_corrupting_delivery_reports_corruption():
+    sim, fabric = make_fabric()
+    a = fabric.add_host("a")
+    b = fabric.add_host("b")
+    fabric.degrade(a, b, LinkFault(corrupt_probability=1.0,
+                                   latency_multiplier=2.0))
+    out = []
+
+    def proc():
+        out.append((yield fabric.deliver(a, b, 100)))
+        out.append(sim.now)
+
+    sim.process(proc())
+    sim.run()
+    config = fabric.config
+    one = config.mtu.wire_bytes(100) / config.host_rate_bytes_per_sec
+    assert out[0] is True
+    assert out[1] == pytest.approx(2 * one + 2 * 4e-6)
+
+
+def test_traced_loopback_closes_span_at_arrival():
+    sim, fabric = make_fabric()
+    a = fabric.add_host("a")
+    root = Span("op", lambda: sim.now)
+
+    def proc():
+        return (yield fabric.deliver(a, a, 100, trace=root))
+
+    assert sim.run(until=sim.process(proc())) is False
+    (deliver,) = root.children
+    assert deliver.end == 1e-7
+    assert deliver.children == []

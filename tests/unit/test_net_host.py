@@ -20,7 +20,7 @@ def test_execute_takes_cpu_time():
     done = []
 
     def proc():
-        yield from host.execute(10e-6, "worker")
+        yield host.execute(10e-6, "worker")
         done.append(sim.now)
 
     sim.process(proc())
@@ -33,9 +33,9 @@ def test_execute_charges_ledger():
     host = make_host(sim)
 
     def proc():
-        yield from host.execute(5e-6, "alpha")
-        yield from host.execute(3e-6, "alpha")
-        yield from host.execute(2e-6, "beta")
+        yield host.execute(5e-6, "alpha")
+        yield host.execute(3e-6, "alpha")
+        yield host.execute(2e-6, "beta")
 
     sim.process(proc())
     sim.run()
@@ -50,7 +50,7 @@ def test_core_contention_queues_work():
     ends = []
 
     def proc(tag):
-        yield from host.execute(10e-6, tag)
+        yield host.execute(10e-6, tag)
         ends.append((tag, sim.now))
 
     sim.process(proc("a"))
@@ -66,7 +66,7 @@ def test_parallel_cores_do_not_queue():
     ends = []
 
     def proc(tag):
-        yield from host.execute(10e-6, tag)
+        yield host.execute(10e-6, tag)
         ends.append(sim.now)
 
     sim.process(proc("a"))
@@ -80,7 +80,7 @@ def test_cpu_slowdown_multiplies_work():
     host = make_host(sim, slowdown=2.0)
 
     def proc():
-        yield from host.execute(10e-6, "w")
+        yield host.execute(10e-6, "w")
 
     sim.process(proc())
     sim.run()
@@ -95,11 +95,11 @@ def test_cstate_penalty_applies_after_idle():
     times = []
 
     def proc():
-        yield from host.execute(10e-6, "w")     # cold start: idle since t=0? no, idle=0
+        yield host.execute(10e-6, "w")     # cold start: idle since t=0? no, idle=0
         times.append(sim.now)
         yield sim.timeout(500e-6)               # long idle -> deep C-state
         start = sim.now
-        yield from host.execute(10e-6, "w")
+        yield host.execute(10e-6, "w")
         times.append(sim.now - start)
 
     sim.process(proc())
@@ -117,7 +117,7 @@ def test_cstate_no_penalty_when_busy_recently():
     def proc():
         for _ in range(3):
             start = sim.now
-            yield from host.execute(10e-6, "w")
+            yield host.execute(10e-6, "w")
             durations.append(sim.now - start)
             yield sim.timeout(20e-6)  # short gaps keep the core warm
 
@@ -134,7 +134,7 @@ def test_crashed_host_rejects_execution():
 
     def proc():
         try:
-            yield from host.execute(1e-6, "w")
+            yield host.execute(1e-6, "w")
         except HostDownError as exc:
             failures.append(exc.host_name)
 
@@ -151,7 +151,7 @@ def test_restart_revives_host():
     done = []
 
     def proc():
-        yield from host.execute(1e-6, "w")
+        yield host.execute(1e-6, "w")
         done.append(True)
 
     sim.process(proc())
