@@ -58,14 +58,13 @@ class Link:
         self._server = FifoServer(sim, name=f"link:{name}")
         self.bytes_carried = 0
 
-    def send(self, wire_bytes: int, fn: Callable, *args: Any) -> float:
+    def send(self, wire_bytes: int, fn: Callable, *args: Any) -> None:
         """Queue ``wire_bytes``; ``fn(*args)`` runs once the last byte left.
 
-        Returns that time. The callback counts the bytes
-        (``bytes_carried``) itself, so it can order the count with the
-        rest of its bookkeeping.
+        The callback counts the bytes (``bytes_carried``) itself, so it
+        can order the count with the rest of its bookkeeping.
         """
-        return self._server.reserve(wire_bytes / self.rate, fn, *args)
+        self._server.reserve(wire_bytes / self.rate, fn, *args)
 
     def transmit(self, wire_bytes: int) -> Event:
         """Serialize ``wire_bytes``; the event fires when they are through."""
