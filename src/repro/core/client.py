@@ -574,33 +574,75 @@ class CliqueMapClient:
         started = self.sim.now
         deadline_at = started + (deadline or self.config.default_deadline)
         key_hash = self.placement.key_hash(key)
-        attempts = 0
-        last_reason = "no-healthy-replicas"
-        backoff = BackoffPolicy(self.config.retry_backoff,
-                                self.config.retry_backoff_cap,
-                                self._retry_rand)
         root = self.tracer.start("get", parent=_parent_span(trace),
                                  client=self.client_id,
                                  strategy=self.strategy.value)
+        attempts, outcome, reason = yield from self._retrying(
+            "get", lambda attempt: self._attempt(key, key_hash, deadline_at,
+                                                 root, attempt),
+            deadline_at, root,
+            recover=lambda retry: self._recover_get(retry, key_hash))
+        if outcome is None:
+            self.stats["get_errors"] += 1
+            reason = reason or "no-healthy-replicas"
+            latency = self.sim.now - started
+            root.annotate(error=reason).finish()
+            return GetResult(GetStatus.ERROR, attempts=attempts,
+                             latency=latency, error=reason,
+                             trace=self._finish_op("get", "error", latency,
+                                                   root))
+        status, value, version = outcome
+        if status is GetStatus.HIT:
+            latency = self.sim.now - started
+            root.finish()  # at the same instant latency is measured
+            self.stats["hits"] += 1
+            self._note_touch(key_hash)
+            value = yield from self._decode_value(value)
+            return GetResult(GetStatus.HIT, value=value, version=version,
+                             attempts=attempts, latency=latency,
+                             trace=self._finish_op("get", "hit", latency,
+                                                   root))
+        if self.read_through is not None and \
+                self.read_through.policy.read_through:
+            return (yield from self._read_through_miss(
+                key, attempts, started, root))
+        latency = self.sim.now - started
+        root.finish()
+        self.stats["misses"] += 1
+        return GetResult(GetStatus.MISS, attempts=attempts, latency=latency,
+                         trace=self._finish_op("get", "miss", latency, root))
 
+    def _retrying(self, op: str, attempt_fn, deadline_at: float, root,
+                  recover=None) -> Generator:
+        """The retry driver every single-key op runs on (§4.1, §9).
+
+        ``attempt_fn(attempt)`` is a generator that returns a terminal
+        outcome or raises :class:`_AttemptRetry`. Between attempts the
+        driver spends one retry-budget token (shedding the retry when
+        the bucket is dry), runs ``recover(retry)`` if given, and sleeps
+        a jittered backoff clipped to the deadline; the last attempt
+        pays for nothing. Returns ``(attempts, outcome, reason)``:
+        ``outcome`` is None when every attempt failed, and ``reason``
+        then names the last hazard (or ``"budget-exhausted"``).
+        """
+        attempts = 0
+        reason = None
+        backoff = BackoffPolicy(self.config.retry_backoff,
+                                self.config.retry_backoff_cap,
+                                self._retry_rand)
         while attempts < self.config.max_retries and \
                 self.sim.now < deadline_at:
             attempts += 1
             try:
-                status, value, version = yield from self._attempt(
-                    key, key_hash, deadline_at, root, attempts)
+                return attempts, (yield from attempt_fn(attempts)), None
             except _AttemptRetry as retry:
+                reason = retry.reason
                 self.stats["retries"] += 1
-                self._m_retries.labels(op="get", reason=retry.reason).inc()
+                self._m_retries.labels(op=op, reason=reason).inc()
                 if self._flight:
                     self._flight.record("retry", origin=self._flight_origin,
-                                        op="get", reason=retry.reason,
+                                        op=op, reason=reason,
                                         attempt=attempts)
-                last_reason = retry.reason
-                if retry.reason.startswith("validation"):
-                    self.stats["validation_failures"] += 1
-                if retry.reason == "inquorate":
-                    self.stats["inquorate"] += 1
                 if attempts >= self.config.max_retries or \
                         self.sim.now >= deadline_at:
                     continue  # terminal: no further attempt to pay for
@@ -608,89 +650,61 @@ class CliqueMapClient:
                     # Budget dry: shed the retry instead of amplifying
                     # the overload; fail fast with a distinct reason.
                     self.stats["retries_shed"] += 1
-                    self._m_retries_shed.labels(op="get",
-                                                reason=retry.reason).inc()
+                    self._m_retries_shed.labels(op=op, reason=reason).inc()
                     if self._flight:
                         self._flight.record("retry_shed",
                                             origin=self._flight_origin,
-                                            op="get", reason=retry.reason,
+                                            op=op, reason=reason,
                                             attempt=attempts)
-                    last_reason = "budget-exhausted"
                     root.annotate(shed_retry=True)
-                    break
+                    return attempts, None, "budget-exhausted"
                 recovery = root.child("retry", attempt=attempts,
-                                      reason=retry.reason)
-                for task in retry.stale_tasks:
-                    yield from self._build_view(task)
-                if retry.refresh_config:
-                    yield from self._refresh_config()
-                if retry.reason in ("no-healthy-replicas", "inquorate",
-                                    "replica-down", "replica-error"):
-                    # Failed-RMA retries contact backends via RPC as part
-                    # of the retry procedure (§4.1) — re-handshake any
-                    # disconnected cohort member inline rather than
-                    # waiting for the background reconnect loop.
-                    # Quarantined members are left to cool down — unless
-                    # the directory shows the task restarted, in which
-                    # case the quarantine belongs to a dead incarnation
-                    # and a handshake re-admits the new one.
-                    for shard in self.placement.shards_for(key_hash):
-                        task = self.cell.task_for_shard(shard)
-                        view = self._views.get(task)
-                        if view is None or (not view.health.connected and
-                                            not view.health.quarantined):
-                            yield from self._build_view(task)
-                        elif view.channel.server is not \
-                                self.directory(task).rpc_server:
-                            yield from self._build_view(task)
+                                      reason=reason)
+                if recover is not None:
+                    yield from recover(retry)
                 delay = backoff.next_delay()
-                if self.sim.now + delay >= deadline_at:
-                    # The backoff would sleep past the deadline; stop now
-                    # instead of burning the remaining attempts in a
-                    # zero-delay spin at the deadline instant.
-                    recovery.finish()
-                    break
-                if delay:
+                # A backoff that would sleep past the deadline ends the
+                # op now instead of burning the remaining attempts in a
+                # zero-delay spin at the deadline instant.
+                past_deadline = self.sim.now + delay >= deadline_at
+                if delay and not past_deadline:
                     yield self.sim.sleep(delay)
                 recovery.finish()
-                continue
-            if status is GetStatus.HIT:
-                latency = self.sim.now - started
-                root.finish()  # at the same instant latency is measured
-                self.stats["hits"] += 1
-                self._note_touch(key_hash)
-                value = yield from self._decode_value(value)
-                return GetResult(GetStatus.HIT, value=value, version=version,
-                                 attempts=attempts, latency=latency,
-                                 trace=self._finish_op("get", "hit", latency,
-                                                       root))
-            if self.read_through is not None and \
-                    self.read_through.policy.read_through:
-                return (yield from self._read_through_miss(
-                    key, attempts, started, root))
-            latency = self.sim.now - started
-            root.finish()
-            self.stats["misses"] += 1
-            return GetResult(GetStatus.MISS, attempts=attempts,
-                             latency=latency,
-                             trace=self._finish_op("get", "miss", latency,
-                                                   root))
+                if past_deadline:
+                    break
+        return attempts, None, reason
 
-        self.stats["get_errors"] += 1
-        latency = self.sim.now - started
-        root.annotate(error=last_reason).finish()
-        return GetResult(GetStatus.ERROR, attempts=attempts, latency=latency,
-                         error=last_reason,
-                         trace=self._finish_op("get", "error", latency, root))
+    def _recover_get(self, retry: _AttemptRetry,
+                     key_hash: bytes) -> Generator:
+        """GET-only recovery between attempts: rebuild stale views,
+        refresh the config, and re-handshake the key's cohort."""
+        for task in retry.stale_tasks:
+            yield from self._build_view(task)
+        if retry.refresh_config:
+            yield from self._refresh_config()
+        if retry.reason in ("no-healthy-replicas", "inquorate",
+                            "replica-down", "replica-error"):
+            # Failed-RMA retries contact backends via RPC as part of the
+            # retry procedure (§4.1) — re-handshake any disconnected
+            # cohort member inline rather than waiting for the background
+            # reconnect loop. Quarantined members are left to cool down —
+            # unless the directory shows the task restarted, in which
+            # case the quarantine belongs to a dead incarnation and a
+            # handshake re-admits the new one.
+            for shard in self.placement.shards_for(key_hash):
+                task = self.cell.task_for_shard(shard)
+                view = self._views.get(task)
+                if view is None or (not view.health.connected and
+                                    not view.health.quarantined):
+                    yield from self._build_view(task)
+                elif view.channel.server is not \
+                        self.directory(task).rpc_server:
+                    yield from self._build_view(task)
 
     def _finish_op(self, op: str, status: str, latency: float,
                    root) -> Optional[TraceContext]:
         """Record terminal metrics + trace + flight event for one op."""
-        handle = self._h_ops.get((op, status))
-        if handle is None:
-            handle = self._h_ops[(op, status)] = self._m_ops.labels(
-                op=op, status=status)
-        handle.inc()
+        self._op_counter(op, status).inc()
         latency_handle = self._h_latency.get(op)
         if latency_handle is None:
             latency_handle = self._h_latency[op] = self._m_latency.labels(
@@ -715,6 +729,14 @@ class CliqueMapClient:
                 latency_handle.exemplar(latency, root.trace_id,
                                         self.sim.now)
         return TraceContext(root)
+
+    def _op_counter(self, op: str, status: str):
+        """The ``cliquemap_ops_total`` series for (op, status), memoized."""
+        handle = self._h_ops.get((op, status))
+        if handle is None:
+            handle = self._h_ops[(op, status)] = self._m_ops.labels(
+                op=op, status=status)
+        return handle
 
     def _read_through_miss(self, key: bytes, attempts: int, started: float,
                            root) -> Generator:
@@ -805,26 +827,21 @@ class CliqueMapClient:
             if self.strategy is GetStrategy.RPC:
                 results = yield from self._rpc_get_multi(keys, deadline)
                 return (yield from self._read_through_multi(keys, results))
-        return (yield from self._fanout_get_multi(keys, deadline))
+        return (yield self._fanout([self.get(key, deadline) for key in keys],
+                                   GetResult))
 
-    def _fanout_get_multi(self, keys: List[bytes],
-                          deadline: Optional[float]) -> Generator:
-        """Per-key parallel fan-out, with per-key failure isolation."""
-        procs = [self.sim.process(self._isolate(self.get(key, deadline),
-                                                self._get_error_result))
-                 for key in keys]
-        results = yield self.sim.all_of(procs)
-        return results
+    def _fanout(self, ops: List[Generator], result_cls):
+        """Run each op as its own process; one event for all results.
 
-    @staticmethod
-    def _get_error_result(exc: Exception) -> "GetResult":
-        return GetResult(GetStatus.ERROR,
-                         error=f"unhandled-{type(exc).__name__}")
+        Per-key failure isolation: an op that raises yields a terminal
+        ``result_cls`` naming the exception instead of failing its
+        siblings.
+        """
+        def on_error(exc: Exception):
+            return result_cls(error=f"unhandled-{type(exc).__name__}")
 
-    @staticmethod
-    def _mutation_error_result(exc: Exception) -> "MutationResult":
-        return MutationResult(SetStatus.FAILED,
-                              error=f"unhandled-{type(exc).__name__}")
+        return self.sim.all_of([self.sim.process(self._isolate(op, on_error))
+                                for op in ops])
 
     def _isolate(self, gen: Generator, on_error) -> Generator:
         """Contain one key's failure to its own slot of a batch.
@@ -1017,39 +1034,36 @@ class CliqueMapClient:
             finish_key(i, status, value, version)
 
         if fallback:
+            # Recover shared state once, up front, so the per-key
+            # singletons start from fresh views instead of each
+            # re-discovering the same staleness (§4.1 retry procedure,
+            # amortized over the batch).
+            if any(config_mismatch[i] for i in fallback):
+                yield from self._refresh_config()
+            for task in sorted({task for i in fallback for task in stale[i]}):
+                yield from self._build_view(task)
             yield from self._finish_batch_fallback(
-                "get_multi", keys, results, fallback, started, deadline_at,
-                config_mismatch, stale)
+                "get_multi", results, fallback, started, deadline_at,
+                lambda i, remaining: self.get(keys[i], remaining), GetResult)
         root.annotate(resolved=n - len(fallback),
                       fallback=len(fallback)).finish()
         if root and root.parent is None:
             self.tracer.record(root)
         return results
 
-    def _finish_batch_fallback(self, op: str, keys: List[bytes],
-                               results: List[Optional[GetResult]],
+    def _finish_batch_fallback(self, op: str, results: List[OpResult],
                                fallback: Dict[int, str], started: float,
-                               deadline_at: float,
-                               config_mismatch: List[bool],
-                               stale: List[List[str]]) -> Generator:
-        """Run the singleton retry path for each unsettled batch key."""
+                               deadline_at: float, single,
+                               result_cls) -> Generator:
+        """Run the singleton retry path, ``single(i, remaining)``, for
+        each unsettled batch key; its latency includes the batch phase."""
         for reason in fallback.values():
             self._m_batch_fallback.labels(op=op, reason=reason).inc()
-        # Recover shared state once, up front, so the per-key singletons
-        # start from fresh views instead of each re-discovering the same
-        # staleness (§4.1 retry procedure, amortized over the batch).
-        if any(config_mismatch[i] for i in fallback):
-            yield from self._refresh_config()
-        stale_tasks = {task for i in fallback for task in stale[i]}
-        for task in sorted(stale_tasks):
-            yield from self._build_view(task)
         prefix = self.sim.now - started
         remaining = max(1e-6, deadline_at - self.sim.now)
         ordered = sorted(fallback)
-        procs = [self.sim.process(self._isolate(
-            self.get(keys[i], remaining), self._get_error_result))
-            for i in ordered]
-        outcomes = yield self.sim.all_of(procs)
+        outcomes = yield self._fanout([single(i, remaining) for i in ordered],
+                                      result_cls)
         for i, result in zip(ordered, outcomes):
             result.latency += prefix  # account the batch phase too
             results[i] = result
@@ -1091,13 +1105,7 @@ class CliqueMapClient:
             if isinstance(raw, RmaError):
                 items.append(("down", view.task, None))
                 continue
-            parsed = parse_bucket(raw, view.ways)
-            if not parsed.magic_ok:
-                items.append(("stale", view.task, None))
-            elif parsed.config_id != view.config_id:
-                items.append(("config", view.task, parsed.config_id))
-            else:
-                items.append(("ok", view.task, parsed))
+            items.append(self._bucket_outcome(view, raw))
         return items
 
     def _rpc_get_multi(self, keys: List[bytes],
@@ -1163,8 +1171,8 @@ class CliqueMapClient:
                 self._h_batched_get_latency.observe(latency)
         if fallback:
             yield from self._finish_batch_fallback(
-                "get_multi", keys, results, fallback, started, deadline_at,
-                [False] * n, [[] for _ in keys])
+                "get_multi", results, fallback, started, deadline_at,
+                lambda i, remaining: self.get(keys[i], remaining), GetResult)
         root.annotate(resolved=n - len(fallback),
                       fallback=len(fallback)).finish()
         if root and root.parent is None:
@@ -1175,24 +1183,80 @@ class CliqueMapClient:
 
     def _attempt(self, key: bytes, key_hash: bytes, deadline_at: float,
                  span=NULL_SPAN, attempt: int = 1) -> Generator:
-        if self.strategy is GetStrategy.RPC:
-            return (yield from self._attempt_rpc(key, key_hash, deadline_at,
-                                                 span, attempt))
-        if self.strategy is GetStrategy.MSG:
-            return (yield from self._attempt_msg(key, key_hash, span,
-                                                 attempt))
-        views = self._replica_views(key_hash)
-        quorum = self.cell.mode.quorum
-        if len(views) < quorum:
-            raise _AttemptRetry("no-healthy-replicas")
-        if self.cell.mode is ReplicationMode.R2_IMMUTABLE:
-            return (yield from self._attempt_serial(key, key_hash, views,
-                                                    span, attempt))
-        if self.strategy is GetStrategy.SCAR:
-            return (yield from self._attempt_scar(key, key_hash, views,
-                                                  quorum, span, attempt))
-        return (yield from self._attempt_2xr(key, key_hash, views, quorum,
-                                             span, attempt))
+        try:
+            if self.strategy is GetStrategy.RPC:
+                return (yield from self._attempt_rpc(key, key_hash,
+                                                     deadline_at, span,
+                                                     attempt))
+            if self.strategy is GetStrategy.MSG:
+                return (yield from self._attempt_msg(key, key_hash, span,
+                                                     attempt))
+            views = self._replica_views(key_hash)
+            quorum = self.cell.mode.quorum
+            if len(views) < quorum:
+                raise _AttemptRetry("no-healthy-replicas")
+            if self.cell.mode is ReplicationMode.R2_IMMUTABLE:
+                return (yield from self._attempt_serial(key, key_hash, views,
+                                                        span, attempt))
+            if self.strategy is GetStrategy.SCAR:
+                return (yield from self._attempt_scar(key, key_hash, views,
+                                                      quorum, span, attempt))
+            return (yield from self._attempt_2xr(key, key_hash, views,
+                                                 quorum, span, attempt))
+        except _AttemptRetry as retry:
+            if retry.reason.startswith("validation"):
+                self.stats["validation_failures"] += 1
+            if retry.reason == "inquorate":
+                self.stats["inquorate"] += 1
+            raise
+
+    def _collect_votes(self, views: List[BackendView], quorum: int, fetch,
+                       key_hash: bytes, span, on_vote=None,
+                       await_primary: bool = False) -> Generator:
+        """Fan ``fetch`` out to every replica; gather votes until the
+        quorum settles, then close ``span`` (the fetch phase).
+
+        ``on_vote(view, vote)`` sees each vote as it lands. With
+        ``await_primary`` (the primary/backup ablation) a settled quorum
+        still waits for the logical primary's vote. Raises
+        :class:`_AttemptRetry` when no quorum formed; otherwise returns
+        ``(decision, votes, results, stale, overflow_seen)`` with
+        ``results`` the raw fetch outcome per voting task.
+        """
+        pending = {self.sim.process(fetch(view, key_hash, span)): view
+                   for view in views}
+        votes: List[ReplicaVote] = []
+        results: Dict[str, tuple] = {}
+        stale: List[str] = []
+        overflow_seen = [False]
+        config_mismatch = False
+        decision = QuorumDecision(QuorumOutcome.UNDECIDED)
+        while pending:
+            event, result = yield self.sim.any_of(list(pending))
+            view = pending.pop(event)
+            vote = self._vote_from(view, result, stale, key_hash,
+                                   overflow_seen)
+            if result[0] == "config":
+                config_mismatch = True
+            votes.append(vote)
+            results[view.task] = result
+            if on_vote is not None:
+                on_vote(view, vote)
+            self.host.charge_inline(self.config.costs.quorum_cpu,
+                                    "cliquemap-client")
+            decision = evaluate(votes, len(views), quorum)
+            if decision.outcome in (QuorumOutcome.PRESENT,
+                                    QuorumOutcome.ABSENT):
+                if await_primary and \
+                        not any(v.task == views[0].task for v in votes):
+                    continue  # primary/backup ablation: await the primary
+                break
+
+        if decision.outcome is QuorumOutcome.UNDECIDED:
+            decision = evaluate(votes, len(votes), quorum)
+        span.finish()  # quorum settled: the fetch phase is over
+        self._raise_for_failures(decision, stale, config_mismatch)
+        return decision, votes, results, stale, overflow_seen[0]
 
     def _attempt_2xr(self, key: bytes, key_hash: bytes,
                      views: List[BackendView], quorum: int,
@@ -1203,36 +1267,17 @@ class CliqueMapClient:
         each starts the simulated instant the previous one ends, so their
         durations sum to the attempt's share of the op latency.
         """
-        total = len(views)
         index_span = span.child("index", attempt=attempt)
-        pending = {self.sim.process(self._fetch_index(view, key_hash,
-                                                      index_span)): view
-                   for view in views}
-        votes: List[ReplicaVote] = []
-        entries: Dict[str, object] = {}
         view_by_task = {view.task: view for view in views}
         preferred_task: Optional[str] = None
         data_proc = None
         data_task: Optional[str] = None
-        stale: List[str] = []
-        overflow_seen = [False]
-        config_mismatch = False
-        decision = QuorumDecision(QuorumOutcome.UNDECIDED)
+        force_primary = self.config.force_primary_data_fetch
 
-        while pending:
-            event, result = yield self.sim.any_of(list(pending))
-            view = pending.pop(event)
-            vote = self._vote_from(view, result, stale, key_hash,
-                                   overflow_seen)
-            if isinstance(result, tuple) and result[0] == "config":
-                config_mismatch = True
-            votes.append(vote)
-            if vote.kind is VoteKind.PRESENT:
-                entries[view.task] = vote.entry
-            speculate = (not self.config.force_primary_data_fetch or
-                         view.task == views[0].task)
+        def speculate(view: BackendView, vote: ReplicaVote) -> None:
+            nonlocal preferred_task, data_proc, data_task
             if preferred_task is None and vote.kind is not VoteKind.ERROR \
-                    and speculate:
+                    and (not force_primary or view.task == views[0].task):
                 preferred_task = view.task
                 if vote.kind is VoteKind.PRESENT:
                     # Speculative data fetch from the first responder (or
@@ -1242,26 +1287,17 @@ class CliqueMapClient:
                     data_proc = self.sim.process(
                         self._fetch_data(view, vote.entry, index_span))
                     data_task = view.task
-            self.host.charge_inline(self.config.costs.quorum_cpu,
-                                    "cliquemap-client")
-            decision = evaluate(votes, total, quorum)
-            if decision.outcome in (QuorumOutcome.PRESENT,
-                                    QuorumOutcome.ABSENT):
-                if self.config.force_primary_data_fetch and \
-                        not any(v.task == views[0].task for v in votes):
-                    continue  # primary/backup ablation: await the primary
-                break
 
-        if decision.outcome is QuorumOutcome.UNDECIDED:
-            decision = evaluate(votes, len(votes), quorum)
-        index_span.finish()  # quorum settled: the index phase is over
-        self._raise_for_failures(decision, stale, config_mismatch)
+        decision, votes, _results, stale, overflow_seen = \
+            yield from self._collect_votes(views, quorum, self._fetch_index,
+                                           key_hash, index_span, speculate,
+                                           await_primary=force_primary)
 
         if decision.outcome is QuorumOutcome.ABSENT:
             if data_proc is not None:
                 data_proc.defused = True
             return (yield from self._maybe_overflow_lookup(
-                key, view_by_task, overflow_seen[0], span, attempt))
+                key, view_by_task, overflow_seen, span, attempt))
 
         # PRESENT: the data must come from a quorum member at the quorumed
         # version (§5.1 condition 4).
@@ -1269,7 +1305,7 @@ class CliqueMapClient:
         if data_task is None or data_task not in decision.members:
             if data_proc is not None:
                 data_proc.defused = True  # speculation failed; ignore it
-            if self.config.force_primary_data_fetch:
+            if force_primary:
                 # Primary/backup-style: insist on the primary when it is
                 # in the quorum, paying its latency even when slow.
                 primary = views[0].task
@@ -1277,8 +1313,9 @@ class CliqueMapClient:
                     else decision.members[0]
             else:
                 data_task = decision.members[0]
+            entry = next(v.entry for v in votes if v.task == data_task)
             data_proc = self.sim.process(self._fetch_data(
-                view_by_task[data_task], entries[data_task], data_span))
+                view_by_task[data_task], entry, data_span))
         result = yield data_proc
         data_span.finish()
         validate_span = span.child("validate", attempt=attempt)
@@ -1292,49 +1329,19 @@ class CliqueMapClient:
                       views: List[BackendView], quorum: int,
                       span=NULL_SPAN, attempt: int = 1) -> Generator:
         """SCAR to all replicas: one round trip, three full data copies."""
-        total = len(views)
         scar_span = span.child("index", attempt=attempt, op="scar")
-        pending = {self.sim.process(self._fetch_scar(view, key_hash,
-                                                     scar_span)): view
-                   for view in views}
-        votes: List[ReplicaVote] = []
-        data_by_task: Dict[str, Optional[bytes]] = {}
-        stale: List[str] = []
-        overflow_seen = [False]
-        config_mismatch = False
-        decision = QuorumDecision(QuorumOutcome.UNDECIDED)
-
-        while pending:
-            event, result = yield self.sim.any_of(list(pending))
-            view = pending.pop(event)
-            vote = self._vote_from(view, result, stale, key_hash,
-                                   overflow_seen)
-            if isinstance(result, tuple) and result[0] == "config":
-                config_mismatch = True
-            votes.append(vote)
-            if vote.kind is VoteKind.PRESENT:
-                data_by_task[view.task] = result[3]
-            self.host.charge_inline(self.config.costs.quorum_cpu,
-                                    "cliquemap-client")
-            decision = evaluate(votes, total, quorum)
-            if decision.outcome in (QuorumOutcome.PRESENT,
-                                    QuorumOutcome.ABSENT):
-                break
-
-        if decision.outcome is QuorumOutcome.UNDECIDED:
-            decision = evaluate(votes, len(votes), quorum)
-        scar_span.finish()
-        self._raise_for_failures(decision, stale, config_mismatch)
-
+        decision, votes, results, stale, overflow_seen = \
+            yield from self._collect_votes(views, quorum, self._fetch_scar,
+                                           key_hash, scar_span)
+        view_by_task = {view.task: view for view in views}
         if decision.outcome is QuorumOutcome.ABSENT:
-            view_by_task = {view.task: view for view in views}
             return (yield from self._maybe_overflow_lookup(
-                key, view_by_task, overflow_seen[0], span, attempt))
+                key, view_by_task, overflow_seen, span, attempt))
 
         # Prefer validating a copy fetched from a quorum member.
         validate_span = span.child("validate", attempt=attempt)
         for task in decision.members:
-            raw = data_by_task.get(task)
+            raw = results[task][3]
             if raw is None:
                 continue
             outcome = self._try_validate(key, key_hash, raw, decision)
@@ -1349,7 +1356,6 @@ class CliqueMapClient:
         # currently-advertised window.
         entry_by_task = {v.task: v.entry for v in votes
                          if v.kind is VoteKind.PRESENT}
-        view_by_task = {view.task: view for view in views}
         for task in decision.members:
             entry = entry_by_task.get(task)
             if entry is None:
@@ -1373,7 +1379,7 @@ class CliqueMapClient:
             result = yield from self._fetch_index(view, key_hash, index_span)
             index_span.finish()
             vote = self._vote_from(view, result, [], key_hash, overflow_seen)
-            if isinstance(result, tuple) and result[0] == "config":
+            if result[0] == "config":
                 raise _AttemptRetry("config-mismatch", refresh_config=True)
             if vote.kind is VoteKind.ERROR:
                 last_reason = "replica-error"
@@ -1496,6 +1502,12 @@ class CliqueMapClient:
         self.host.charge_inline(self.config.costs.completion_cpu,
                                 "cliquemap-client")
         view.health.record_success()
+        return self._bucket_outcome(view, raw)
+
+    @staticmethod
+    def _bucket_outcome(view: BackendView, raw: bytes) -> tuple:
+        """Tag one fetched bucket: ``stale`` (bad magic: the region was
+        reused), ``config`` (another config generation) or ``ok``."""
         parsed = parse_bucket(raw, view.ways)
         if not parsed.magic_ok:
             return ("stale", view.task, None)
@@ -1524,12 +1536,7 @@ class CliqueMapClient:
         self.host.charge_inline(self.config.costs.completion_cpu,
                                 "cliquemap-client")
         view.health.record_success()
-        parsed = parse_bucket(bucket_raw, view.ways)
-        if not parsed.magic_ok:
-            return ("stale", view.task, None)
-        if parsed.config_id != view.config_id:
-            return ("config", view.task, parsed.config_id)
-        return ("ok", view.task, parsed, data_raw)
+        return self._bucket_outcome(view, bucket_raw) + (data_raw,)
 
     def _fetch_data(self, view: BackendView, entry,
                     trace=NULL_SPAN) -> Generator:
@@ -1727,87 +1734,71 @@ class CliqueMapClient:
     def set(self, key: bytes, value: bytes,
             deadline: Optional[float] = None, trace=None) -> Generator:
         """SET via RPC to all replicas with a fresh VersionNumber."""
-        self.stats["sets"] += 1
+        return (yield from self._mutate("set", key, value, deadline, trace))
+
+    def erase(self, key: bytes,
+              deadline: Optional[float] = None, trace=None) -> Generator:
+        """ERASE via RPC; tombstoned so late SETs cannot resurrect (§5.2)."""
+        return (yield from self._mutate("erase", key, None, deadline,
+                                        trace))
+
+    def _mutate(self, op: str, key: bytes, value: Optional[bytes],
+                deadline: Optional[float], trace) -> Generator:
+        """SET (``value`` given) or ERASE on the retry driver.
+
+        Each attempt nominates a fresh version and sends one mutation RPC
+        to every replica. A quorum of applied replies acknowledges the
+        op; a quorum of refusals means a newer mutation already won
+        (SUPERSEDED). An ERASE counts any refusal toward that quorum, a
+        SET only replies whose reason is ``superseded``.
+        """
+        self.stats[op + "s"] += 1
         started = self.sim.now
         deadline_at = started + (deadline or self.config.default_deadline)
-        root = self.tracer.start("set", parent=_parent_span(trace),
+        root = self.tracer.start(op, parent=_parent_span(trace),
                                  client=self.client_id)
-        raw_value = value
-        value = yield from self._encode_value(value)
-        payload_size = len(key) + len(value) + 64
+        method = "Set" if value is not None else "Erase"
+        payload = {"key": key}
+        payload_size = len(key) + 64
+        if value is not None:
+            payload["value"] = yield from self._encode_value(value)
+            payload_size += len(payload["value"])
+        key_hash = self.placement.key_hash(key)
         quorum = self.cell.mode.quorum
-        last = MutationResult(SetStatus.FAILED)
-        backoff = BackoffPolicy(self.config.retry_backoff,
-                                self.config.retry_backoff_cap,
-                                self._retry_rand)
+        last = [None, 0]  # the latest attempt's version and applied count
 
-        for _attempt in range(self.config.max_retries):
-            if self.sim.now >= deadline_at:
-                break
-            version = self.versions.next()
+        def attempt(n: int) -> Generator:
+            version = last[0] = self.versions.next()
             replies = yield from self._mutate_all(
-                "Set", {"key": key, "value": value,
-                        "version": version.pack()},
-                self.placement.key_hash(key), payload_size,
-                root, _attempt + 1)
-            applied = sum(1 for r in replies
-                          if r is not None and r.get("applied"))
+                method, dict(payload, version=version.pack()), key_hash,
+                payload_size, root, n)
+            applied = last[1] = sum(1 for r in replies
+                                    if r is not None and r.get("applied"))
             superseded = sum(1 for r in replies if r is not None and
                              not r.get("applied") and
-                             r.get("reason") == "superseded")
-            latency = self.sim.now - started
+                             (value is None or
+                              r.get("reason") == "superseded"))
             if applied >= quorum:
-                root.finish()
-                # Acked at quorum: the SoR learns of it via write-behind
-                # (or a sync write-through when the buffer is full); the
-                # op's acknowledged latency is the cache-tier latency.
-                yield from self._note_write_behind(key, raw_value)
-                return MutationResult(SetStatus.APPLIED, version=version,
-                                      replicas_applied=applied,
-                                      latency=latency,
-                                      attempts=_attempt + 1,
-                                      trace=self._finish_op(
-                                          "set", "applied", latency, root))
+                return SetStatus.APPLIED
             if superseded >= quorum:
-                root.finish()
-                return MutationResult(SetStatus.SUPERSEDED, version=version,
-                                      replicas_applied=applied,
-                                      latency=latency,
-                                      attempts=_attempt + 1,
-                                      trace=self._finish_op(
-                                          "set", "superseded", latency,
-                                          root))
-            self._m_retries.labels(op="set", reason="inquorate").inc()
-            if self._flight:
-                self._flight.record("retry", origin=self._flight_origin,
-                                    op="set", reason="inquorate",
-                                    attempt=_attempt + 1)
-            last = MutationResult(SetStatus.FAILED, version=version,
-                                  replicas_applied=applied, latency=latency,
-                                  attempts=_attempt + 1)
-            if _attempt + 1 >= self.config.max_retries or \
-                    self.sim.now >= deadline_at:
-                continue  # loop is about to end; nothing to pay for
-            if not self._retry_budget.try_spend():
-                self.stats["retries_shed"] += 1
-                self._m_retries_shed.labels(op="set",
-                                            reason="inquorate").inc()
-                if self._flight:
-                    self._flight.record("retry_shed",
-                                        origin=self._flight_origin,
-                                        op="set", reason="inquorate",
-                                        attempt=_attempt + 1)
-                last.error = "budget-exhausted"
-                root.annotate(shed_retry=True)
-                break
-            delay = backoff.next_delay()
-            if self.sim.now + delay >= deadline_at:
-                break  # would sleep past the deadline: no attempt left
-            if delay:
-                yield self.sim.sleep(delay)
+                return SetStatus.SUPERSEDED
+            raise _AttemptRetry("inquorate")
+
+        attempts, status, reason = yield from self._retrying(
+            op, attempt, deadline_at, root)
+        latency = self.sim.now - started
         root.finish()
-        last.trace = self._finish_op("set", "failed", last.latency, root)
-        return last
+        if status is SetStatus.APPLIED:
+            # Acked at quorum: the SoR learns of it via write-behind (or a
+            # sync write-through when the buffer is full); the op's
+            # acknowledged latency is the cache-tier latency.
+            yield from self._note_write_behind(key, value)
+        status = status or SetStatus.FAILED
+        return MutationResult(status, version=last[0],
+                              replicas_applied=last[1], latency=latency,
+                              attempts=attempts, error=reason,
+                              trace=self._finish_op(op, status.name.lower(),
+                                                    latency, root))
 
     def set_multi(self, items: List[Tuple[bytes, bytes]],
                   deadline: Optional[float] = None) -> Generator:
@@ -1823,7 +1814,9 @@ class CliqueMapClient:
         if not items:
             return []
         if len(items) < 2 or self.cell is None:
-            return (yield from self._fanout_set_multi(items, deadline))
+            return (yield self._fanout([self.set(key, value, deadline)
+                                        for key, value in items],
+                                       MutationResult))
         started = self.sim.now
         deadline_at = started + (deadline or self.config.default_deadline)
         n = len(items)
@@ -1846,6 +1839,13 @@ class CliqueMapClient:
             versions.append(self.versions.next())
         build_span.finish()
 
+        def multiset(idxs: List[int]) -> Tuple[dict, int]:
+            entries = [[items[i][0], encoded[i], versions[i].pack()]
+                       for i in idxs]
+            size = sum(len(items[i][0]) + len(encoded[i])
+                       for i in idxs) + 64 + 24 * len(idxs)
+            return {"entries": entries}, size
+
         results: List[Optional[MutationResult]] = [None] * n
         fallback: Dict[int, str] = {}
         per_view: Dict[str, List[int]] = {}
@@ -1863,57 +1863,26 @@ class CliqueMapClient:
         # Dual-write shadows: fire-and-forget MultiSets at the resize
         # target cohort; never counted toward per-key quorum below.
         for task, idxs in per_shadow.items():
-            entries = [[items[i][0], encoded[i], versions[i].pack()]
-                       for i in idxs]
-            size = sum(len(items[i][0]) + len(encoded[i])
-                       for i in idxs) + 64 + 24 * len(idxs)
             self._shadow_mutate(self._views[task], "MultiSet",
-                                {"entries": entries}, size)
+                                *multiset(idxs))
         applied = [0] * n
         superseded = [0] * n
         span = root.child("mutate", method="MultiSet",
                           backends=len(per_view))
-
-        def one(view: BackendView, idxs: List[int]) -> Generator:
-            entries = [[items[i][0], encoded[i], versions[i].pack()]
-                       for i in idxs]
-            size = sum(len(items[i][0]) + len(encoded[i])
-                       for i in idxs) + 64 + 24 * len(idxs)
-            try:
-                reply = yield from view.channel.call(
-                    "MultiSet", {"entries": entries},
-                    deadline=self.config.mutation_rpc_deadline,
-                    request_size=size, trace=span)
-                view.health.record_success()
-                reply_config = reply.get("config_id")
-                if reply_config is not None and \
-                        reply_config > self.cell.config_id:
-                    self._note_stale_config(reply_config)
-                return reply.get("results", [])
-            except PermissionDeniedError:
-                return None  # unauthorized: not retryable
-            except RpcError:
-                view_alive = self.directory(view.task).alive \
-                    if self.directory else True
-                if not view_alive:
-                    view.health.mark_down()
-                    self._start_reconnect(view.task)
-                else:
-                    view.health.record_failure()
-                return None
-
         procs = {self.sim.process(self._isolate(
-            one(self._views[task], idxs), lambda _exc: None)): idxs
+            self._call_replica(self._views[task], "MultiSet",
+                               *multiset(idxs), span),
+            lambda _exc: None)): idxs
             for task, idxs in per_view.items()}
         while procs:
-            event, replies = yield self.sim.any_of(list(procs))
+            event, reply = yield self.sim.any_of(list(procs))
             idxs = procs.pop(event)
-            if replies is None:
+            if reply is None:
                 continue
-            for i, reply in zip(idxs, replies):
-                if reply.get("applied"):
+            for i, outcome in zip(idxs, reply.get("results", [])):
+                if outcome.get("applied"):
                     applied[i] += 1
-                elif reply.get("reason") == "superseded":
+                elif outcome.get("reason") == "superseded":
                     superseded[i] += 1
         span.finish()
 
@@ -1924,20 +1893,16 @@ class CliqueMapClient:
                                     "cliquemap-client")
             latency = self.sim.now - started
             if applied[i] >= quorum:
-                status, status_str = SetStatus.APPLIED, "applied"
+                status = SetStatus.APPLIED
                 yield from self._note_write_behind(items[i][0], items[i][1])
             elif superseded[i] >= quorum:
-                status, status_str = SetStatus.SUPERSEDED, "superseded"
+                status = SetStatus.SUPERSEDED
             else:
                 fallback[i] = "inquorate"
                 continue
             self.stats["sets"] += 1
             self._h_batch_keys_set.inc()
-            handle = self._h_ops.get(("set", status_str))
-            if handle is None:
-                handle = self._h_ops[("set", status_str)] = \
-                    self._m_ops.labels(op="set", status=status_str)
-            handle.inc()
+            self._op_counter("set", status.name.lower()).inc()
             self._h_batched_set_latency.observe(latency)
             results[i] = MutationResult(
                 status, version=versions[i], replicas_applied=applied[i],
@@ -1945,109 +1910,16 @@ class CliqueMapClient:
                 trace=TraceContext(root) if root else None)
 
         if fallback:
-            for reason in fallback.values():
-                self._m_batch_fallback.labels(op="set_multi",
-                                              reason=reason).inc()
-            prefix = self.sim.now - started
-            remaining = max(1e-6, deadline_at - self.sim.now)
-            ordered = sorted(fallback)
-            procs_list = [self.sim.process(self._isolate(
-                self.set(items[i][0], items[i][1], remaining),
-                self._mutation_error_result)) for i in ordered]
-            outcomes = yield self.sim.all_of(procs_list)
-            for i, result in zip(ordered, outcomes):
-                result.latency += prefix
-                results[i] = result
+            yield from self._finish_batch_fallback(
+                "set_multi", results, fallback, started, deadline_at,
+                lambda i, remaining: self.set(items[i][0], items[i][1],
+                                              remaining),
+                MutationResult)
         root.annotate(resolved=n - len(fallback),
                       fallback=len(fallback)).finish()
         if root and root.parent is None:
             self.tracer.record(root)
         return results
-
-    def _fanout_set_multi(self, items: List[Tuple[bytes, bytes]],
-                          deadline: Optional[float]) -> Generator:
-        """Per-key parallel fan-out, with per-key failure isolation."""
-        procs = [self.sim.process(self._isolate(
-            self.set(key, value, deadline), self._mutation_error_result))
-            for key, value in items]
-        results = yield self.sim.all_of(procs)
-        return results
-
-    def erase(self, key: bytes,
-              deadline: Optional[float] = None, trace=None) -> Generator:
-        """ERASE via RPC; tombstoned so late SETs cannot resurrect (§5.2)."""
-        self.stats["erases"] += 1
-        started = self.sim.now
-        deadline_at = started + (deadline or self.config.default_deadline)
-        root = self.tracer.start("erase", parent=_parent_span(trace),
-                                 client=self.client_id)
-        quorum = self.cell.mode.quorum
-        last = MutationResult(SetStatus.FAILED)
-        backoff = BackoffPolicy(self.config.retry_backoff,
-                                self.config.retry_backoff_cap,
-                                self._retry_rand)
-
-        for _attempt in range(self.config.max_retries):
-            if self.sim.now >= deadline_at:
-                break
-            version = self.versions.next()
-            replies = yield from self._mutate_all(
-                "Erase", {"key": key, "version": version.pack()},
-                self.placement.key_hash(key), len(key) + 64,
-                root, _attempt + 1)
-            applied = sum(1 for r in replies
-                          if r is not None and r.get("applied"))
-            superseded = sum(1 for r in replies if r is not None and
-                             not r.get("applied"))
-            latency = self.sim.now - started
-            if applied >= quorum:
-                root.finish()
-                yield from self._note_write_behind(key, None)
-                return MutationResult(SetStatus.APPLIED, version=version,
-                                      replicas_applied=applied,
-                                      latency=latency,
-                                      attempts=_attempt + 1,
-                                      trace=self._finish_op(
-                                          "erase", "applied", latency, root))
-            if superseded >= quorum:
-                root.finish()
-                return MutationResult(SetStatus.SUPERSEDED, version=version,
-                                      latency=latency,
-                                      attempts=_attempt + 1,
-                                      trace=self._finish_op(
-                                          "erase", "superseded", latency,
-                                          root))
-            self._m_retries.labels(op="erase", reason="inquorate").inc()
-            if self._flight:
-                self._flight.record("retry", origin=self._flight_origin,
-                                    op="erase", reason="inquorate",
-                                    attempt=_attempt + 1)
-            last = MutationResult(SetStatus.FAILED, version=version,
-                                  replicas_applied=applied, latency=latency,
-                                  attempts=_attempt + 1)
-            if _attempt + 1 >= self.config.max_retries or \
-                    self.sim.now >= deadline_at:
-                continue
-            if not self._retry_budget.try_spend():
-                self.stats["retries_shed"] += 1
-                self._m_retries_shed.labels(op="erase",
-                                            reason="inquorate").inc()
-                if self._flight:
-                    self._flight.record("retry_shed",
-                                        origin=self._flight_origin,
-                                        op="erase", reason="inquorate",
-                                        attempt=_attempt + 1)
-                last.error = "budget-exhausted"
-                root.annotate(shed_retry=True)
-                break
-            delay = backoff.next_delay()
-            if self.sim.now + delay >= deadline_at:
-                break  # would sleep past the deadline: no attempt left
-            if delay:
-                yield self.sim.sleep(delay)
-        root.finish()
-        last.trace = self._finish_op("erase", "failed", last.latency, root)
-        return last
 
     def cas(self, key: bytes, value: bytes, expected: VersionNumber,
             deadline: Optional[float] = None, trace=None) -> Generator:
@@ -2132,35 +2004,40 @@ class CliqueMapClient:
         if not views:
             return []
         fanout_span = span.child("mutate", attempt=attempt, method=method)
-
-        def one(view: BackendView):
-            try:
-                reply = yield from view.channel.call(
-                    method, payload,
-                    deadline=self.config.mutation_rpc_deadline,
-                    request_size=payload_size, trace=fanout_span)
-                view.health.record_success()
-                reply_config = reply.get("config_id")
-                if reply_config is not None and \
-                        reply_config > self.cell.config_id:
-                    self._note_stale_config(reply_config)
-                return reply
-            except PermissionDeniedError:
-                return None  # unauthorized: not retryable
-            except RpcError:
-                view_alive = self.directory(view.task).alive \
-                    if self.directory else True
-                if not view_alive:
-                    view.health.mark_down()
-                    self._start_reconnect(view.task)
-                else:
-                    view.health.record_failure()
-                return None
-
-        procs = [self.sim.process(one(view)) for view in views]
-        replies = yield self.sim.all_of(procs)
+        replies = yield self.sim.all_of([
+            self.sim.process(self._call_replica(view, method, payload,
+                                                payload_size, fanout_span))
+            for view in views])
         fanout_span.finish()
         return replies
+
+    def _call_replica(self, view: BackendView, method: str, payload: dict,
+                      size: int, span=NULL_SPAN) -> Generator:
+        """One mutation RPC to one replica: the reply, or None on failure.
+
+        Owns the replica-call failure classification. A permission
+        denial is not retryable and leaves health alone. Any other RPC
+        failure marks the view down (and starts a reconnect) when the
+        directory says the task died, else counts against its health.
+        """
+        try:
+            reply = yield from view.channel.call(
+                method, payload, deadline=self.config.mutation_rpc_deadline,
+                request_size=size, trace=span)
+        except PermissionDeniedError:
+            return None
+        except RpcError:
+            if self.directory and not self.directory(view.task).alive:
+                view.health.mark_down()
+                self._start_reconnect(view.task)
+            else:
+                view.health.record_failure()
+            return None
+        view.health.record_success()
+        reply_config = reply.get("config_id")
+        if reply_config is not None and reply_config > self.cell.config_id:
+            self._note_stale_config(reply_config)
+        return reply
 
     # ------------------------------------------------------------------
     # Touch reporting (§4.2)

@@ -109,45 +109,38 @@ class RemoteZoneProxy:
         return
         yield  # pragma: no cover - makes this a generator
 
-    def _wan_span(self, trace, op: str):
-        """Local span covering the parked WAN round trip (or None).
-
-        Its :meth:`~repro.telemetry.Span.ref` rides in the request
-        message; the destination starts a ``wan.serve`` root whose
-        ``remote_parent`` is exactly this span — the joint the post-run
-        stitcher reassembles.
-        """
-        if not trace:
-            return None, None
-        span = trace.child("wan.call", op=op,
-                           dst=self.shard.spec.zones[self.dst_index])
-        return span, span.ref(self.shard.zone)
-
     def get(self, key: bytes, deadline: Optional[float] = None,
             trace=None):
-        span, ref = self._wan_span(trace, "get")
-        status_name, value = yield from self.shard.wan_call(
-            self.dst_index, "get", key, None, trace_ref=ref)
-        if span is not None:
-            span.annotate(status=status_name).finish()
-        return RemoteOpResult(GetStatus[status_name], value)
+        return self._wan_call("get", key, None, trace)
 
     def set(self, key: bytes, value: bytes,
             deadline: Optional[float] = None, trace=None):
-        span, ref = self._wan_span(trace, "set")
-        status_name, _ = yield from self.shard.wan_call(
-            self.dst_index, "set", key, value, trace_ref=ref)
-        if span is not None:
-            span.annotate(status=status_name).finish()
-        return RemoteOpResult(status_name)
+        return self._wan_call("set", key, value, trace)
 
     def erase(self, key: bytes, deadline: Optional[float] = None,
               trace=None):
-        span, ref = self._wan_span(trace, "erase")
-        status_name, _ = yield from self.shard.wan_call(
-            self.dst_index, "erase", key, None, trace_ref=ref)
+        return self._wan_call("erase", key, None, trace)
+
+    def _wan_call(self, op: str, key: bytes, value: Optional[bytes], trace):
+        """One parked WAN round trip to the destination shard.
+
+        When traced, a local ``wan.call`` span covers it. Its
+        :meth:`~repro.telemetry.Span.ref` rides in the request message;
+        the destination starts a ``wan.serve`` root whose
+        ``remote_parent`` is exactly this span — the joint the post-run
+        stitcher reassembles.
+        """
+        span = ref = None
+        if trace:
+            span = trace.child("wan.call", op=op,
+                               dst=self.shard.spec.zones[self.dst_index])
+            ref = span.ref(self.shard.zone)
+        status_name, value = yield from self.shard.wan_call(
+            self.dst_index, op, key, value, trace_ref=ref)
         if span is not None:
             span.annotate(status=status_name).finish()
+        if op == "get":
+            return RemoteOpResult(GetStatus[status_name], value)
         return RemoteOpResult(status_name)
 
 
