@@ -111,26 +111,19 @@ class ClientConfig:
             raise CliqueMapError(
                 "ClientConfig.max_retries must be >= 1 (it counts "
                 f"attempts, including the first), got {self.max_retries!r}")
-        if self.retry_backoff < 0:
-            raise CliqueMapError(
-                "ClientConfig.retry_backoff must be >= 0, "
-                f"got {self.retry_backoff!r}")
+        for name, minimum in (("retry_backoff", 0),
+                              ("retry_budget_fill_rate", 0),
+                              ("touch_batch_max", 1),
+                              ("compression_min_bytes", 0)):
+            value = getattr(self, name)
+            if value < minimum:
+                raise CliqueMapError(
+                    f"ClientConfig.{name} must be >= {minimum}, "
+                    f"got {value!r}")
         if self.retry_backoff_cap < self.retry_backoff:
             raise CliqueMapError(
                 "ClientConfig.retry_backoff_cap must be >= retry_backoff, "
                 f"got {self.retry_backoff_cap!r} < {self.retry_backoff!r}")
-        if self.retry_budget_fill_rate < 0:
-            raise CliqueMapError(
-                "ClientConfig.retry_budget_fill_rate must be >= 0, "
-                f"got {self.retry_budget_fill_rate!r}")
-        if self.touch_batch_max < 1:
-            raise CliqueMapError(
-                "ClientConfig.touch_batch_max must be >= 1, "
-                f"got {self.touch_batch_max!r}")
-        if self.compression_min_bytes < 0:
-            raise CliqueMapError(
-                "ClientConfig.compression_min_bytes must be >= 0, "
-                f"got {self.compression_min_bytes!r}")
 
 
 @dataclass
@@ -403,11 +396,6 @@ class CliqueMapClient:
             self._flight.record("quarantine", origin=self._flight_origin,
                                 task=task, event=event)
 
-    def _new_health(self, task: str) -> BackendHealth:
-        return BackendHealth(task, clock=lambda: self.sim.now,
-                             policy=self.config.health,
-                             on_event=self._health_event)
-
     def _build_view(self, task: str) -> Generator:
         backend = self.directory(task)
         view = self._views.get(task)
@@ -417,8 +405,9 @@ class CliqueMapClient:
             channel = rpc_connect(self.sim, self.fabric, self.host,
                                   backend.rpc_server, self.principal,
                                   client_component="cliquemap-client")
-            health = view.health if view is not None \
-                else self._new_health(task)
+            health = view.health if view is not None else BackendHealth(
+                task, clock=lambda: self.sim.now, policy=self.config.health,
+                on_event=self._health_event)
             view = BackendView(task=task, host_name=backend.host.name,
                                channel=channel, health=health)
             self._views[task] = view
@@ -426,8 +415,7 @@ class CliqueMapClient:
             info = yield from view.channel.call(
                 "Info", {}, deadline=self.config.mutation_rpc_deadline)
         except RpcError:
-            view.health.mark_down()
-            self._start_reconnect(task)
+            self._mark_down(view)
             return view
         view.config_id = info["config_id"]
         view.index_region_id = info["index_region_id"]
@@ -448,11 +436,8 @@ class CliqueMapClient:
 
     def _refresh_config(self) -> Generator:
         """Re-read cell topology from the external HA store (§6.1)."""
-        config = yield from self.config_store.get(self.cell_name)
-        self._adopt_config(config)
         self.stats["config_refreshes"] += 1
-        for task in sorted(set(self.cell.serving_tasks())):
-            yield from self._build_view(task)
+        yield from self.connect()
 
     def _note_stale_config(self, config_id: int) -> None:
         """A reply proved the cell moved on: refresh in the background.
@@ -964,19 +949,9 @@ class CliqueMapClient:
         data_span = root.child("data", batch=n)
 
         def finish_key(i: int, status: GetStatus, value, version) -> None:
-            latency = self.sim.now - started
-            if status is GetStatus.HIT:
-                self.stats["hits"] += 1
-            else:
-                self.stats["misses"] += 1
-            self.stats["gets"] += 1
-            self._h_batch_keys_get.inc()
-            status_str = "hit" if status is GetStatus.HIT else "miss"
-            self._h_ops[("get", status_str)].inc()
-            self._h_batched_get_latency.observe(latency)
-            results[i] = GetResult(status, value=value, version=version,
-                                   latency=latency,
-                                   trace=TraceContext(root) if root else None)
+            results[i] = self._batched_get_result(
+                status, value, version, self.sim.now - started,
+                TraceContext(root) if root else None)
 
         # Keys still undecided after every vote arrived, plus misses.
         overflow_procs: Dict[object, int] = {}
@@ -1045,11 +1020,27 @@ class CliqueMapClient:
             yield from self._finish_batch_fallback(
                 "get_multi", results, fallback, started, deadline_at,
                 lambda i, remaining: self.get(keys[i], remaining), GetResult)
+        self._close_batch(root, n, fallback)
+        return results
+
+    def _close_batch(self, root, n: int, fallback: Dict[int, str]) -> None:
+        """Finish a batched op's root span; record it when standalone."""
         root.annotate(resolved=n - len(fallback),
                       fallback=len(fallback)).finish()
         if root and root.parent is None:
             self.tracer.record(root)
-        return results
+
+    def _batched_get_result(self, status: GetStatus, value, version,
+                            latency: float, trace=None) -> GetResult:
+        """Count one key a batched GET fast path settled; its result."""
+        hit = status is GetStatus.HIT
+        self.stats["gets"] += 1
+        self.stats["hits" if hit else "misses"] += 1
+        self._h_batch_keys_get.inc()
+        self._h_ops[("get", "hit" if hit else "miss")].inc()
+        self._h_batched_get_latency.observe(latency)
+        return GetResult(status, value=value, version=version,
+                         latency=latency, trace=trace)
 
     def _finish_batch_fallback(self, op: str, results: List[OpResult],
                                fallback: Dict[int, str], started: float,
@@ -1086,17 +1077,9 @@ class CliqueMapClient:
                 self.host, view.host_name,
                 [(view.index_region_id, offset, view.bucket_bytes)
                  for offset in offsets], trace=op)
-        except RegionRevokedError:
-            op.annotate(outcome="stale").finish()
-            return [("stale", view.task, None)] * len(offsets)
-        except (RemoteHostDownError, RmaError, NetworkDropError):
-            op.annotate(outcome="down").finish()
-            self._leg_down(view)
-            return [("down", view.task, None)] * len(offsets)
-        op.finish()
-        self.host.charge_inline(self.config.costs.completion_cpu,
-                                "cliquemap-client")
-        view.health.record_success()
+        except (RmaError, NetworkDropError) as exc:
+            return [self._leg_failed(view, op, exc)] * len(offsets)
+        self._leg_ok(view, op)
         items = []
         for raw in raw_items:
             if isinstance(raw, RegionRevokedError):
@@ -1154,29 +1137,19 @@ class CliqueMapClient:
                 continue
             latency = self.sim.now - started
             for i, reply in zip(idxs, replies):
-                self.stats["gets"] += 1
-                self._h_batch_keys_get.inc()
                 if reply.get("found"):
-                    self.stats["hits"] += 1
-                    self._h_ops[("get", "hit")].inc()
                     value = yield from self._decode_value(reply["value"])
-                    results[i] = GetResult(
-                        GetStatus.HIT, value=value,
-                        version=VersionNumber.unpack(reply["version"]),
-                        latency=latency)
+                    results[i] = self._batched_get_result(
+                        GetStatus.HIT, value,
+                        VersionNumber.unpack(reply["version"]), latency)
                 else:
-                    self.stats["misses"] += 1
-                    self._h_ops[("get", "miss")].inc()
-                    results[i] = GetResult(GetStatus.MISS, latency=latency)
-                self._h_batched_get_latency.observe(latency)
+                    results[i] = self._batched_get_result(
+                        GetStatus.MISS, None, None, latency)
         if fallback:
             yield from self._finish_batch_fallback(
                 "get_multi", results, fallback, started, deadline_at,
                 lambda i, remaining: self.get(keys[i], remaining), GetResult)
-        root.annotate(resolved=n - len(fallback),
-                      fallback=len(fallback)).finish()
-        if root and root.parent is None:
-            self.tracer.record(root)
+        self._close_batch(root, n, fallback)
         return results
 
     # -- one attempt ---------------------------------------------------------
@@ -1340,12 +1313,15 @@ class CliqueMapClient:
 
         # Prefer validating a copy fetched from a quorum member.
         validate_span = span.child("validate", attempt=attempt)
+        cost = self.config.costs
         for task in decision.members:
             raw = results[task][3]
             if raw is None:
                 continue
             outcome = self._try_validate(key, key_hash, raw, decision)
-            yield from self._charge_validation(raw)
+            yield self.host.execute(
+                cost.validate_cpu + len(raw) / 1024.0 * cost.validate_per_kb,
+                "cliquemap-client")
             if outcome is not None:
                 validate_span.finish()
                 return outcome
@@ -1422,8 +1398,7 @@ class CliqueMapClient:
                     len(key) + 64, {"key": key}, trace=msg_span)
             except (RemoteHostDownError, RmaError, NetworkDropError):
                 msg_span.annotate(outcome="down").finish()
-                view.health.mark_down()
-                self._start_reconnect(view.task)
+                self._mark_down(view)
                 continue
             finally:
                 msg_span.finish()
@@ -1464,14 +1439,33 @@ class CliqueMapClient:
 
     # -- fetch helpers ---------------------------------------------------------
 
-    def _leg_down(self, view: BackendView) -> None:
-        """One RMA leg found the backend unreachable.
+    def _leg_failed(self, view: BackendView, op, exc: Exception) -> tuple:
+        """Close a failed RMA leg's span and tag its outcome: a revoked
+        region is ``stale``, anything else means the backend is down.
 
-        Recorded at the leg, not at vote collection: once a quorum
-        settles, the losing legs are abandoned — but a gray (lossy)
-        replica's failures must still feed the health scoreboard or it
-        never trips quarantine while the quorum keeps masking it.
+        A down backend is recorded at the leg, not at vote collection:
+        once a quorum settles, the losing legs are abandoned — but a
+        gray (lossy) replica's failures must still feed the health
+        scoreboard or it never trips quarantine while the quorum keeps
+        masking it.
         """
+        if isinstance(exc, RegionRevokedError):
+            op.annotate(outcome="stale").finish()
+            return ("stale", view.task, None)
+        op.annotate(outcome="down").finish()
+        self._mark_down(view)
+        return ("down", view.task, None)
+
+    def _leg_ok(self, view: BackendView, op) -> None:
+        """Close a successful RMA leg: span, completion CPU, health."""
+        op.finish()
+        self.host.charge_inline(self.config.costs.completion_cpu,
+                                "cliquemap-client")
+        view.health.record_success()
+
+    def _mark_down(self, view: BackendView) -> None:
+        """The backend is unreachable: drop the view from its cohorts
+        and reconnect in the background."""
         view.health.mark_down()
         self._start_reconnect(view.task)
 
@@ -1491,17 +1485,9 @@ class CliqueMapClient:
             raw = yield from self.transport.read(
                 self.host, view.host_name, view.index_region_id, offset,
                 view.bucket_bytes, trace=op)
-        except RegionRevokedError:
-            op.annotate(outcome="stale").finish()
-            return ("stale", view.task, None)
-        except (RemoteHostDownError, RmaError, NetworkDropError):
-            op.annotate(outcome="down").finish()
-            self._leg_down(view)
-            return ("down", view.task, None)
-        op.finish()
-        self.host.charge_inline(self.config.costs.completion_cpu,
-                                "cliquemap-client")
-        view.health.record_success()
+        except (RmaError, NetworkDropError) as exc:
+            return self._leg_failed(view, op, exc)
+        self._leg_ok(view, op)
         return self._bucket_outcome(view, raw)
 
     @staticmethod
@@ -1525,17 +1511,9 @@ class CliqueMapClient:
             bucket_raw, data_raw = yield from self.transport.scar(
                 self.host, view.host_name, view.index_region_id, offset,
                 view.bucket_bytes, key_hash, trace=op)
-        except RegionRevokedError:
-            op.annotate(outcome="stale").finish()
-            return ("stale", view.task, None)
-        except (RemoteHostDownError, RmaError, NetworkDropError):
-            op.annotate(outcome="down").finish()
-            self._leg_down(view)
-            return ("down", view.task, None)
-        op.finish()
-        self.host.charge_inline(self.config.costs.completion_cpu,
-                                "cliquemap-client")
-        view.health.record_success()
+        except (RmaError, NetworkDropError) as exc:
+            return self._leg_failed(view, op, exc)
+        self._leg_ok(view, op)
         return self._bucket_outcome(view, bucket_raw) + (data_raw,)
 
     def _fetch_data(self, view: BackendView, entry,
@@ -1555,28 +1533,13 @@ class CliqueMapClient:
                 # currently-advertised window — converge to it, perhaps
                 # after a view refresh.
                 if view.data_region_id == entry.region_id:
-                    op.annotate(outcome="stale")
-                    return ("stale", view.task, None)
-                try:
-                    raw = yield from self.transport.read(
-                        self.host, view.host_name, view.data_region_id,
-                        entry.offset, entry.size, trace=op)
-                except RegionRevokedError:
-                    op.annotate(outcome="stale")
-                    return ("stale", view.task, None)
-                except (RemoteHostDownError, RmaError, NetworkDropError):
-                    op.annotate(outcome="down")
-                    self._leg_down(view)
-                    return ("down", view.task, None)
-            except (RemoteHostDownError, RmaError, NetworkDropError):
-                op.annotate(outcome="down")
-                self._leg_down(view)
-                return ("down", view.task, None)
-        finally:
-            op.finish()
-        self.host.charge_inline(self.config.costs.completion_cpu,
-                                "cliquemap-client")
-        view.health.record_success()
+                    raise
+                raw = yield from self.transport.read(
+                    self.host, view.host_name, view.data_region_id,
+                    entry.offset, entry.size, trace=op)
+        except (RmaError, NetworkDropError) as exc:
+            return self._leg_failed(view, op, exc)
+        self._leg_ok(view, op)
         return ("ok", view.task, raw)
 
     # -- vote/validation helpers ------------------------------------------------
@@ -1595,12 +1558,8 @@ class CliqueMapClient:
             return ReplicaVote.present(view.task, entry)
         if kind == "stale":
             stale.append(view.task)
-            return ReplicaVote.error(view.task)
-        if kind == "down":
-            # Health already recorded at the leg (see _leg_down).
-            return ReplicaVote.error(view.task)
-        if kind == "config":
-            return ReplicaVote.error(view.task)
+        # "down" health was already recorded at the leg (_leg_failed);
+        # "config" is collected by the caller.
         return ReplicaVote.error(view.task)
 
     def _raise_for_failures(self, decision: QuorumDecision,
@@ -1613,12 +1572,6 @@ class CliqueMapClient:
         if stale:
             raise _AttemptRetry("stale-view", stale_tasks=tuple(stale))
         raise _AttemptRetry("inquorate")
-
-    def _charge_validation(self, raw: bytes) -> Generator:
-        cost = self.config.costs
-        yield self.host.execute(
-            cost.validate_cpu + len(raw) / 1024.0 * cost.validate_per_kb,
-            "cliquemap-client")
 
     def _try_validate(self, key: bytes, key_hash: bytes, raw: bytes,
                       decision: QuorumDecision):
@@ -1915,10 +1868,7 @@ class CliqueMapClient:
                 lambda i, remaining: self.set(items[i][0], items[i][1],
                                               remaining),
                 MutationResult)
-        root.annotate(resolved=n - len(fallback),
-                      fallback=len(fallback)).finish()
-        if root and root.parent is None:
-            self.tracer.record(root)
+        self._close_batch(root, n, fallback)
         return results
 
     def cas(self, key: bytes, value: bytes, expected: VersionNumber,
@@ -2028,8 +1978,7 @@ class CliqueMapClient:
             return None
         except RpcError:
             if self.directory and not self.directory(view.task).alive:
-                view.health.mark_down()
-                self._start_reconnect(view.task)
+                self._mark_down(view)
             else:
                 view.health.record_failure()
             return None
