@@ -1873,9 +1873,14 @@ class CliqueMapClient:
 
     def cas(self, key: bytes, value: bytes, expected: VersionNumber,
             deadline: Optional[float] = None, trace=None) -> Generator:
-        """Compare-and-set: install only if the stored version matches."""
+        """Compare-and-set: install only if the stored version matches.
+
+        Not retried (a conflict is the answer); every replica RPC is cut
+        short at the op deadline.
+        """
         self.stats["cas"] += 1
         started = self.sim.now
+        deadline_at = started + (deadline or self.config.default_deadline)
         root = self.tracer.start("cas", parent=_parent_span(trace),
                                  client=self.client_id)
         raw_value = value
@@ -1884,17 +1889,16 @@ class CliqueMapClient:
         replies = yield from self._mutate_all(
             "Cas", {"key": key, "value": value, "new_version": version.pack(),
                     "expected_version": expected.pack()},
-            self.placement.key_hash(key), len(key) + len(value) + 96, root)
+            self.placement.key_hash(key), len(key) + len(value) + 96, root,
+            deadline_at=deadline_at)
         applied = sum(1 for r in replies
                       if r is not None and r.get("applied"))
         latency = self.sim.now - started
         root.finish()
-        stored = None
-        for reply in replies:
-            if reply is not None and "stored_version" in reply:
-                candidate = VersionNumber.unpack(reply["stored_version"])
-                stored = candidate if stored is None else max(stored,
-                                                              candidate)
+        stored = max((VersionNumber.unpack(r["stored_version"])
+                      for r in replies
+                      if r is not None and "stored_version" in r),
+                     default=None)
         if applied >= self.cell.mode.quorum:
             yield from self._note_write_behind(key, raw_value)
             return MutationResult(SetStatus.APPLIED, version=version,
@@ -1904,6 +1908,8 @@ class CliqueMapClient:
         return MutationResult(SetStatus.FAILED, version=version,
                               replicas_applied=applied, latency=latency,
                               stored_version=stored,
+                              error="inquorate" if stored is None
+                              else "cas-conflict",
                               trace=self._finish_op("cas", "failed", latency,
                                                     root))
 
@@ -1943,8 +1949,8 @@ class CliqueMapClient:
                               latency=self.sim.now - started)
 
     def _mutate_all(self, method: str, payload: dict, key_hash: bytes,
-                    payload_size: int, span=NULL_SPAN,
-                    attempt: int = 1) -> Generator:
+                    payload_size: int, span=NULL_SPAN, attempt: int = 1,
+                    deadline_at: Optional[float] = None) -> Generator:
         """Issue one mutation RPC to every replica; None for failures."""
         yield self.host.execute(self.config.costs.mutation_cpu,
                                 "cliquemap-client")
@@ -1956,24 +1962,31 @@ class CliqueMapClient:
         fanout_span = span.child("mutate", attempt=attempt, method=method)
         replies = yield self.sim.all_of([
             self.sim.process(self._call_replica(view, method, payload,
-                                                payload_size, fanout_span))
+                                                payload_size, fanout_span,
+                                                deadline_at))
             for view in views])
         fanout_span.finish()
         return replies
 
     def _call_replica(self, view: BackendView, method: str, payload: dict,
-                      size: int, span=NULL_SPAN) -> Generator:
+                      size: int, span=NULL_SPAN,
+                      deadline_at: Optional[float] = None) -> Generator:
         """One mutation RPC to one replica: the reply, or None on failure.
 
-        Owns the replica-call failure classification. A permission
-        denial is not retryable and leaves health alone. Any other RPC
-        failure marks the view down (and starts a reconnect) when the
-        directory says the task died, else counts against its health.
+        The RPC deadline is ``mutation_rpc_deadline``, cut to the time
+        left before ``deadline_at`` when given. Owns the replica-call
+        failure classification: a permission denial is not retryable
+        and leaves health alone; any other RPC failure marks the view
+        down (and starts a reconnect) when the directory says the task
+        died, else counts against its health.
         """
+        deadline = self.config.mutation_rpc_deadline
+        if deadline_at is not None:
+            deadline = min(deadline, max(1e-6, deadline_at - self.sim.now))
         try:
             reply = yield from view.channel.call(
-                method, payload, deadline=self.config.mutation_rpc_deadline,
-                request_size=size, trace=span)
+                method, payload, deadline=deadline, request_size=size,
+                trace=span)
         except PermissionDeniedError:
             return None
         except RpcError:

@@ -3,6 +3,7 @@
 
 from repro.core import (BackendConfig, Cell, CellSpec, ClientConfig,
                         GetStatus, LookupStrategy, ReplicationMode, SetStatus)
+from repro.net import LinkFault
 
 
 def run(cell, gen):
@@ -244,3 +245,25 @@ def test_concurrent_cas_same_expected_at_most_one_wins():
             result = yield from clients[0].get(b"k")
             return result.value
         assert run(cell, verify()) == b"winner-%d" % applied[0]
+
+
+def test_cas_returns_by_its_deadline():
+    """A CAS whose replicas cannot answer in time fails at its deadline
+    instead of waiting out the full per-replica mutation RPC deadline."""
+    cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=3,
+                         transport="pony"))
+    client = cell.connect_client()
+
+    def app():
+        stored = yield from client.set(b"k", b"v0")
+        # Every delivery to or from the client crawls: no replica reply
+        # can land within the 1 ms op deadline.
+        cell.fabric.degrade_host(client.host,
+                                 LinkFault(latency_multiplier=1000.0))
+        return (yield from client.cas(b"k", b"v1", stored.version,
+                                      deadline=1e-3))
+
+    result = run(cell, app())
+    assert result.status is SetStatus.FAILED
+    assert result.error == "inquorate"
+    assert result.latency <= 1e-3
