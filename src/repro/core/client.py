@@ -1918,35 +1918,45 @@ class CliqueMapClient:
         """Append to a value: a new mutation type built as a CAS loop (§9).
 
         Uncoordinated per-replica read-modify-write would diverge, so the
-        append is resolved at the client: GET, extend, CAS against the
-        observed version; retried on conflict. Creates the key if absent.
+        append is resolved at the client: each attempt GETs, extends and
+        CASes against the observed version (or SETs when the key is
+        absent), within what is left of the op deadline. A lost race is
+        retried on the retry driver like any other hazard.
         """
         started = self.sim.now
         deadline_at = started + (deadline or self.config.default_deadline)
-        for _attempt in range(self.config.max_retries):
-            if self.sim.now >= deadline_at:
-                break
-            if _attempt:
-                # Linear backoff de-synchronizes contending CAS loops.
-                yield self.sim.sleep(self.config.retry_backoff *
-                                       _attempt * (1 + self.client_id % 3))
-            current = yield from self.get(key)
+        root = self.tracer.start("append", client=self.client_id)
+
+        def attempt(_n: int) -> Generator:
+            current = yield from self.get(
+                key, max(1e-6, deadline_at - self.sim.now), trace=root)
             if current.status is GetStatus.ERROR:
-                continue
+                raise _AttemptRetry(current.error)
+            remaining = max(1e-6, deadline_at - self.sim.now)
             if current.status is GetStatus.MISS:
                 # Creation race: a plain SET; a concurrent newer mutation
                 # simply supersedes us, and we retry.
-                result = yield from self.set(key, suffix)
-                if result.status is SetStatus.APPLIED:
-                    return result
-                continue
-            result = yield from self.cas(key, current.value + suffix,
-                                         current.version)
-            if result.status is SetStatus.APPLIED:
-                result.latency = self.sim.now - started
-                return result
-        return MutationResult(SetStatus.FAILED,
-                              latency=self.sim.now - started)
+                result = yield from self.set(key, suffix, remaining,
+                                             trace=root)
+            else:
+                result = yield from self.cas(key, current.value + suffix,
+                                             current.version, remaining,
+                                             trace=root)
+            if result.status is not SetStatus.APPLIED:
+                raise _AttemptRetry(result.error or "cas-conflict")
+            return result
+
+        attempts, result, reason = yield from self._retrying(
+            "append", attempt, deadline_at, root)
+        latency = self.sim.now - started
+        root.finish()
+        if result is None:
+            result = MutationResult(SetStatus.FAILED, error=reason)
+        result.latency = latency
+        result.attempts = attempts
+        result.trace = self._finish_op("append", result.status.name.lower(),
+                                       latency, root)
+        return result
 
     def _mutate_all(self, method: str, payload: dict, key_hash: bytes,
                     payload_size: int, span=NULL_SPAN, attempt: int = 1,

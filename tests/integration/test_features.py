@@ -183,6 +183,48 @@ def test_concurrent_appends_all_land():
     assert sorted(value) == sorted(b"AAAABBBBCCCC")
 
 
+def test_contended_appends_spend_the_retry_budget():
+    """Append conflicts are retries like any other: with a two-token
+    budget that never refills, a contended append storm sheds retries
+    and the shed appends fail with ``budget-exhausted``."""
+    cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=3,
+                         transport="pony"))
+    clients = [cell.connect_client(client_config=ClientConfig(
+        retry_budget_capacity=2, retry_budget_fill_rate=0))
+        for _ in range(4)]
+    run(cell, clients[0].set(b"log", b""))
+    results = []
+
+    def appender(client, tag):
+        for _ in range(6):
+            results.append((yield from client.append(b"log", b"%d" % tag)))
+
+    procs = [cell.sim.process(appender(c, i)) for i, c in enumerate(clients)]
+    cell.sim.run(until=cell.sim.all_of(procs))
+    shed = [r for r in results if r.status is SetStatus.FAILED]
+    assert shed and all(r.error == "budget-exhausted" for r in shed)
+    assert cell.metrics.total("cliquemap_retries_shed_total",
+                              op="append") > 0
+    assert cell.metrics.total("cliquemap_ops_total", op="append") == 24
+
+
+def test_append_returns_by_its_deadline():
+    """With the key's quorum gone, an append gives up at its deadline
+    (plus the final attempt) instead of running its GET and SET with
+    their own full deadlines."""
+    cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=3,
+                         transport="pony"))
+    client = cell.connect_client(client_config=ClientConfig(
+        max_retries=1000, retry_backoff=50e-6))
+    for task in ("backend-0", "backend-1"):
+        cell.backend_by_task(task).crash()
+
+    result = run(cell, client.append(b"log", b"x", deadline=2e-3))
+    assert result.status is SetStatus.FAILED
+    assert result.error == "no-healthy-replicas"  # the GET's last hazard
+    assert result.latency < 4e-3  # bounded by (deadline + the final attempt)
+
+
 def test_append_with_compression():
     cell, client = build(compressing_config())
 
