@@ -2067,10 +2067,6 @@ class CliqueMapClient:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    @property
-    def retry_budget(self) -> RetryBudget:
-        return self._retry_budget
-
     def backend_health(self, task: str) -> Optional[BackendHealth]:
         view = self._views.get(task)
         return view.health if view is not None else None

@@ -31,6 +31,3 @@ class TrueTime:
         micros = max(micros, self._last_micros + 1)
         self._last_micros = micros
         return micros
-
-    def uncertainty_micros(self) -> int:
-        return int(self.epsilon * 1e6)

@@ -227,12 +227,6 @@ class SoakReport:
         return [[family, f"{total:g}"]
                 for family, total in self.metric_totals.items()]
 
-    def alert_rows(self) -> List[List[str]]:
-        return [[f"t={a['at']:.3f}s", a["kind"],
-                 f"{a['cell']}/{a['objective']}", a["severity"],
-                 f"burn={a['burn_long']:.1f}/{a['burn_short']:.1f}"]
-                for a in self.alerts]
-
 
 def _registry_totals(registry) -> Dict[str, float]:
     totals = {}

@@ -419,9 +419,6 @@ class Fabric:
         """Apply ``fault`` to all deliveries between ``a`` and ``b``."""
         self._link_faults[frozenset((a.name, b.name))] = fault
 
-    def clear_degrade(self, a: Host, b: Host) -> None:
-        self._link_faults.pop(frozenset((a.name, b.name)), None)
-
     def degrade_host(self, host: Host, fault: LinkFault) -> None:
         """Apply ``fault`` to every delivery to or from ``host``."""
         self._host_faults[host.name] = fault
